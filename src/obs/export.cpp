@@ -330,6 +330,31 @@ void write_chrome_trace(const std::vector<AuditEvent>& events,
         emit(buf);
         break;
       }
+      case AuditKind::kTxSteal: {
+        std::snprintf(
+            buf, sizeof(buf),
+            "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\","
+            "\"name\":\"tx_steal\",\"args\":{\"shard\":%d,\"vri\":%d,"
+            "\"frames\":%llu,\"steals\":%llu,\"frames_total\":%llu}}",
+            e.vr, ts, e.shard, e.vri, static_cast<unsigned long long>(e.a),
+            static_cast<unsigned long long>(e.b),
+            static_cast<unsigned long long>(e.c));
+        emit(buf);
+        break;
+      }
+      case AuditKind::kVriSteal: {
+        std::snprintf(
+            buf, sizeof(buf),
+            "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\","
+            "\"name\":\"vri_steal\",\"args\":{\"vri\":%d,\"victim_vri\":%d,"
+            "\"frames\":%llu,\"steals\":%llu,\"frames_total\":%llu}}",
+            e.vr, ts, e.vri, static_cast<int>(e.service),
+            static_cast<unsigned long long>(e.a),
+            static_cast<unsigned long long>(e.b),
+            static_cast<unsigned long long>(e.c));
+        emit(buf);
+        break;
+      }
     }
   }
 

@@ -4,8 +4,7 @@
 
 namespace lvrm::sim {
 
-Nanos Core::run(Nanos cost, CostCategory cat, OwnerId owner,
-                std::function<void()> done) {
+Nanos Core::run(Nanos cost, CostCategory cat, OwnerId owner, Callback done) {
   Nanos start = std::max(sim_.now(), busy_until_);
   if (owner != last_owner_ && last_owner_ != kNoOwner && owner != kNoOwner) {
     start += ctx_cost_;

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -50,8 +49,7 @@ class Core {
   /// invoking `done` at completion. Returns the completion time. If the core
   /// is currently busy the work starts when it frees up (callers that want
   /// explicit queueing — PollServer — only call this when idle()).
-  Nanos run(Nanos cost, CostCategory cat, OwnerId owner,
-            std::function<void()> done);
+  Nanos run(Nanos cost, CostCategory cat, OwnerId owner, Callback done);
 
   /// Charges cost synchronously without scheduling a callback; used for
   /// cheap bookkeeping work folded into a larger operation.

@@ -1,18 +1,28 @@
 // event_queue.hpp — cancellable min-heap of timestamped events.
 //
-// Ties are broken by insertion sequence so simulation runs are fully
-// deterministic regardless of heap internals. Cancellation is lazy: cancelled
-// ids are skipped at pop time, which keeps cancel() O(1) — important for TCP
-// retransmission timers that are rescheduled on every ACK.
+// Events pop in (time, insertion sequence) order, so simulation runs are
+// fully deterministic regardless of heap internals. EventIds are handed out
+// sequentially from 1 in push order.
+//
+// Nothing on the event path allocates once the queue has warmed up
+// (DESIGN.md "Event kernel"):
+//   * each callback is constructed in place in a slot of a chunked slab;
+//     slots never move, so a callback runs where it lies while it schedules
+//     more events, and freed slots are reused through a free list;
+//   * the binary min-heap holds {at, id, slot} and every slot records its
+//     heap position, so cancel() takes the entry out at once and the heap
+//     holds only live events (TCP re-arms its RTO timer on every ACK);
+//   * cancel() finds the slot of an id in a flat open-addressing table.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
+#include "sim/callback.hpp"
 
 namespace lvrm::sim {
 
@@ -21,23 +31,37 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = sim::Callback;
 
-  /// Enqueues `cb` to fire at absolute time `at`. Returns a handle usable
-  /// with cancel().
-  EventId push(Nanos at, Callback cb);
+  EventQueue();
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Cancels a pending event; cancelling an already-fired or invalid id is a
-  /// harmless no-op.
+  /// Enqueues `cb` (any `void()` callable, or a Callback) to fire at absolute
+  /// time `at`. Returns a handle usable with cancel().
+  template <typename F>
+  EventId push(Nanos at, F&& cb) {
+    if (free_.empty()) add_chunk();
+    const std::uint32_t slot = free_.back();
+    callback(slot).emplace(std::forward<F>(cb));
+    free_.pop_back();
+    return link(at, slot);
+  }
+
+  /// Cancels a pending event. Cancelling an already-fired, already-cancelled,
+  /// currently-firing or unknown id is a no-op.
   void cancel(EventId id);
 
-  bool empty() const { return callbacks_.empty(); }
-  std::size_t size() const { return callbacks_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// Earliest pending event time; only valid when !empty().
-  Nanos next_time();
+  Nanos next_time() const {
+    assert(!empty());
+    return heap_.front().at;
+  }
 
-  /// Pops and returns the earliest live event. Only valid when !empty().
+  /// Pops and returns the earliest event. Only valid when !empty().
   struct Fired {
     Nanos at;
     EventId id;
@@ -46,21 +70,66 @@ class EventQueue {
   Fired pop();
 
  private:
+  friend class Simulator;
+
+  static constexpr std::size_t kChunkSlots = 256;
+
   struct Entry {
     Nanos at;
     EventId id;
-    // min-heap on (at, id): earlier time first, then insertion order.
-    bool operator>(const Entry& o) const {
-      if (at != o.at) return at > o.at;
-      return id > o.id;
-    }
+    std::uint32_t slot;
+  };
+  // Min-heap order on (at, id): earlier time first, then insertion order.
+  static bool before(const Entry& a, const Entry& b) {
+    return a.at < b.at || (a.at == b.at && a.id < b.id);
+  }
+
+  struct IdSlot {
+    EventId id = kInvalidEvent;  // kInvalidEvent marks an empty bucket
+    std::uint32_t slot = 0;
   };
 
-  /// Discards heap entries whose callback was cancelled.
-  void skip_cancelled();
+  Callback& callback(std::uint32_t slot) {
+    return chunks_[slot / kChunkSlots][slot % kChunkSlots];
+  }
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_map<EventId, Callback> callbacks_;
+  /// The Simulator's fused next_time() + pop(): if the earliest event is due
+  /// at or before `deadline`, takes it off the heap and the id table (so
+  /// cancelling it is a no-op from now on), advances `clock` to its time,
+  /// counts it in `fired`, runs its callback in place and frees its slot.
+  /// Returns false when nothing is due.
+  bool fire_due(Nanos deadline, Nanos& clock, std::uint64_t& fired);
+
+  void add_chunk();
+  EventId link(Nanos at, std::uint32_t slot);
+
+  // The helpers below run on every event. They are defined, and inlined,
+  // in event_queue.cpp only.
+  inline Entry detach_top();
+
+  void place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    heap_pos_[e.slot] = static_cast<std::uint32_t>(i);
+  }
+  inline void sift_up(std::size_t i, const Entry& e);
+  inline void remove_at(std::size_t i);
+
+  std::size_t id_bucket(EventId id) const {
+    return static_cast<std::size_t>(id) & (ids_.size() - 1);
+  }
+  inline std::size_t id_distance(std::size_t bucket) const;
+  inline std::size_t find_id(EventId id) const;
+  inline void insert_id(EventId id, std::uint32_t slot);
+  inline void erase_id_at(std::size_t bucket);
+
+  std::vector<std::unique_ptr<Callback[]>> chunks_;
+  std::vector<std::uint32_t> free_;      // LIFO; capacity = total slots
+  std::vector<std::uint32_t> heap_pos_;  // per slot, valid while queued
+  std::vector<Entry> heap_;
+  // id -> slot, Robin Hood linear probing, power-of-two size, at most half
+  // full. Ids are sequential, so the identity hash puts live ids in distinct
+  // buckets unless they lie a table size apart.
+  std::vector<IdSlot> ids_;
   EventId next_id_ = 1;
 };
 

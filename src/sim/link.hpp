@@ -5,10 +5,15 @@
 // congestion drops come from: a frame occupies the wire for bytes*8 ns, and
 // frames arriving while the transmit queue is full are tail-dropped, which is
 // the loss signal TCP Reno reacts to in Experiments 3c and 4.
+//
+// Deliveries fire in transmit order: the wire frees up at non-decreasing
+// times and propagation is fixed, and equal times fire in push order. So the
+// link keeps the pending `deliver` callbacks in a FIFO ring, and each
+// delivery event captures only `this` and runs the ring's head.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -32,7 +37,7 @@ class Link {
   /// Queues `bytes` for transmission; `deliver` fires at the receiver once
   /// serialization + propagation complete. Returns false (tail drop) when
   /// the transmit queue is full.
-  bool transmit(std::int64_t bytes, std::function<void()> deliver);
+  bool transmit(std::int64_t bytes, Callback deliver);
 
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t drops() const { return drops_; }
@@ -43,6 +48,8 @@ class Link {
   Nanos busy_time() const { return busy_time_; }
 
  private:
+  void deliver_next();
+
   Simulator& sim_;
   BitsPerSec rate_;
   Nanos propagation_;
@@ -52,6 +59,10 @@ class Link {
   std::uint64_t delivered_ = 0;
   std::uint64_t drops_ = 0;
   Nanos busy_time_ = 0;
+  // Pending deliveries in transmit order: a ring of power-of-two size.
+  std::vector<Callback> pending_;
+  std::size_t pending_head_ = 0;
+  std::size_t pending_count_ = 0;
 };
 
 }  // namespace lvrm::sim

@@ -10,11 +10,11 @@
 //
 // Hot-path memory model (DESIGN.md §9): serving an item performs no heap
 // allocation. The in-service item lives in a member slot and the completion
-// callback captures only `this` (fits std::function's small-buffer storage),
-// so the simulated host overhead of a frame is not polluted by allocator
-// noise. Input selection consults per-priority non-empty hints instead of
-// scanning every queue: a control (priority 0) input with pending work is
-// found without ever touching the data queues.
+// callback captures only `this`, which Core::run stores inline in its event
+// slot (sim::Callback), so the simulated host overhead of a frame is not
+// polluted by allocator noise. Input selection consults per-priority
+// non-empty hints instead of scanning every queue: a control (priority 0)
+// input with pending work is found without ever touching the data queues.
 #pragma once
 
 #include <algorithm>
@@ -90,7 +90,8 @@ class PollServer {
     inputs_.push_back(Input{&q, priority, std::move(cost), std::move(sink),
                             category, batch < 1 ? 1 : batch, coalesce,
                             std::move(batch_cost),
-                            /*nonempty=*/!q.empty(), /*class_idx=*/0});
+                            /*nonempty=*/!q.empty(), /*class_idx=*/0,
+                            /*gate=*/{}});
     rebuild_classes();
     const std::size_t idx = inputs_.size() - 1;
     q.set_observer([this, idx] {

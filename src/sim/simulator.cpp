@@ -1,37 +1,16 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-
 namespace lvrm::sim {
 
-EventId Simulator::at(Nanos when, EventQueue::Callback cb) {
-  return queue_.push(std::max(when, now_), std::move(cb));
-}
-
-EventId Simulator::after(Nanos delay, EventQueue::Callback cb) {
-  return queue_.push(now_ + std::max<Nanos>(delay, 0), std::move(cb));
-}
-
 void Simulator::run_until(Nanos deadline) {
-  while (!queue_.empty() && queue_.next_time() <= deadline) step();
+  while (queue_.fire_due(deadline, now_, processed_)) {
+  }
   now_ = std::max(now_, deadline);
 }
 
 void Simulator::run_all(std::uint64_t max_events) {
   std::uint64_t fired = 0;
-  while (!queue_.empty() && fired < max_events) {
-    step();
-    ++fired;
-  }
-}
-
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto fired = queue_.pop();
-  now_ = std::max(now_, fired.at);
-  ++processed_;
-  fired.cb();
-  return true;
+  while (fired < max_events && step()) ++fired;
 }
 
 }  // namespace lvrm::sim

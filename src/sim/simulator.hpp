@@ -6,8 +6,10 @@
 // "600-second" experiment finish in milliseconds of host time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <limits>
+#include <utility>
 
 #include "common/units.hpp"
 #include "sim/event_queue.hpp"
@@ -22,11 +24,18 @@ class Simulator {
 
   Nanos now() const { return now_; }
 
-  /// Schedules `cb` at absolute virtual time `at` (clamped to now).
-  EventId at(Nanos when, EventQueue::Callback cb);
+  /// Schedules `cb` (any `void()` callable) at absolute virtual time `at`
+  /// (clamped to now). The callable is constructed in its event slot.
+  template <typename F>
+  EventId at(Nanos when, F&& cb) {
+    return queue_.push(std::max(when, now_), std::forward<F>(cb));
+  }
 
   /// Schedules `cb` after a relative delay.
-  EventId after(Nanos delay, EventQueue::Callback cb);
+  template <typename F>
+  EventId after(Nanos delay, F&& cb) {
+    return queue_.push(now_ + std::max<Nanos>(delay, 0), std::forward<F>(cb));
+  }
 
   void cancel(EventId id) { queue_.cancel(id); }
 
@@ -39,7 +48,10 @@ class Simulator {
   void run_all(std::uint64_t max_events = 500'000'000ULL);
 
   /// Fires exactly one event if any is pending. Returns false when idle.
-  bool step();
+  bool step() {
+    return queue_.fire_due(std::numeric_limits<Nanos>::max(), now_,
+                           processed_);
+  }
 
   std::uint64_t events_processed() const { return processed_; }
   bool idle() const { return queue_.empty(); }

@@ -2,6 +2,12 @@
 
 namespace lvrm::traffic {
 
+// The host-to-link hops below capture [this, &link, FrameMeta], the largest
+// closures on the per-frame path; they must fit sim::Callback's inline
+// storage, or every frame pays a heap allocation.
+static_assert(2 * sizeof(void*) + sizeof(net::FrameMeta) <=
+              sim::Callback::kInlineBytes);
+
 Testbed::Testbed(sim::Simulator& sim, Config config)
     : sim_(sim), config_(config) {
   auto make_link = [&] {

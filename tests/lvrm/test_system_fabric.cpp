@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "lvrm/fault_injector.hpp"
 #include "lvrm/system.hpp"
 #include "obs/audit.hpp"
+#include "obs/export.hpp"
 #include "sim/costs.hpp"
 #include "sim/topology.hpp"
 
@@ -363,6 +365,59 @@ TEST(MpmcFabric, IdleShardStealsForeignTxDrain) {
     if (e.kind == obs::AuditKind::kTxSteal) saw_audit = true;
   EXPECT_TRUE(saw_audit);
   EXPECT_EQ(rig.ordering_violations, 0u);
+  EXPECT_EQ(rig.accounted(), rig.sent);
+}
+
+TEST(MpmcFabric, StealAuditEventsReachTheChromeTrace) {
+  // One run with both stealing policies at work. VRI i is homed on shard
+  // i. VRI 1 is slowed 8x, so VRI 0 steals its ingress and carries most of
+  // the traffic; every flow is steered to shard 0 (as in
+  // IdleShardStealsForeignTxDrain), so the nearly idle shard 1 steals from
+  // VRI 0's TX drain. Both audit kinds must reach the Chrome trace with
+  // their fields.
+  LvrmConfig c = FabricRig::cfg(2, true, true);
+  c.steal_min_backlog = 2;
+  FabricRig rig(c, /*initial_vris=*/2, FabricRig::kFlows,
+                /*dummy_load=*/usec(2));
+  rig.faults->schedule({.kind = FaultKind::kSlowdown,
+                        .vri = 1,
+                        .at = msec(10),
+                        .duration = msec(400),
+                        .magnitude = 8.0});
+  std::vector<std::uint16_t> shard0_ports;
+  for (std::uint16_t p = 2000; shard0_ports.size() < 16; ++p) {
+    net::FrameMeta f;
+    f.src_ip = net::ipv4(10, 1, 0, 1);
+    f.dst_ip = net::ipv4(10, 2, 0, 1);
+    f.src_port = p;
+    if (net::hash_tuple(net::FiveTuple::from_frame(f)) % 2 == 0)
+      shard0_ports.push_back(p);
+  }
+  std::function<void()> emit = [&rig, &shard0_ports, &emit] {
+    if (rig.sim.now() >= msec(300)) return;
+    net::FrameMeta f;
+    f.id = rig.sent++;
+    f.wire_bytes = 84;
+    f.src_ip = net::ipv4(10, 1, 0, 1);
+    f.dst_ip = net::ipv4(10, 2, 0, 1);
+    f.src_port = shard0_ports[f.id % shard0_ports.size()];
+    rig.sys->ingress(f);
+    rig.sim.after(usec(2), emit);
+  };
+  rig.sim.at(0, emit);
+  rig.sim.run_all();
+  ASSERT_GT(rig.sys->tx_steals(), 0u);
+  ASSERT_GT(rig.sys->vri_steals(), 0u);
+
+  std::ostringstream os;
+  obs::write_chrome_trace(rig.sys->telemetry()->audit().events(), os);
+  const std::string trace = os.str();
+  EXPECT_NE(
+      trace.find("\"name\":\"tx_steal\",\"args\":{\"shard\":1,\"vri\":0,"),
+      std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"vri_steal\",\"args\":{\"vri\":0,"
+                       "\"victim_vri\":1,"),
+            std::string::npos);
   EXPECT_EQ(rig.accounted(), rig.sent);
 }
 

@@ -202,6 +202,35 @@ TEST(ChromeTrace, FlightDumpEventsCarryCauseAndCounts) {
   EXPECT_NE(text.find("\"records_total\":5000"), std::string::npos);
 }
 
+TEST(ChromeTrace, StealEventsCarryThiefVictimAndCounts) {
+  AuditEvent tx;
+  tx.time = tx.until = usec(50);
+  tx.kind = AuditKind::kTxSteal;
+  tx.vr = 1;
+  tx.vri = 2;    // victim slot
+  tx.shard = 3;  // thief shard
+  tx.a = 8;
+  tx.b = 4;
+  tx.c = 30;
+  AuditEvent vri = tx;
+  vri.kind = AuditKind::kVriSteal;
+  vri.vri = 0;          // thief VRI
+  vri.shard = -1;
+  vri.service = 5.0;    // victim VRI index
+  std::ostringstream os;
+  write_chrome_trace({tx, vri}, os);
+  const std::string text = os.str();
+  expect_balanced(text);
+  EXPECT_NE(text.find("\"tid\":1,\"ts\":50.000,\"s\":\"t\",\"name\":\"tx_steal\","
+                      "\"args\":{\"shard\":3,\"vri\":2,\"frames\":8,"
+                      "\"steals\":4,\"frames_total\":30}"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"vri_steal\",\"args\":{\"vri\":0,"
+                      "\"victim_vri\":5,\"frames\":8,\"steals\":4,"
+                      "\"frames_total\":30}"),
+            std::string::npos);
+}
+
 PathSpan delivered_span() {
   PathSpan s;
   s.frame_id = 7;
