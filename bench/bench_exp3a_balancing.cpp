@@ -2,9 +2,6 @@
 //
 // 360 Kfps over a VR with six 60-Kfps VRIs (dummy load 1/60 ms); sweeps the
 // three balancing schemes for both VR implementations.
-//
-// --descriptor-rings runs LVRM on the zero-copy descriptor data path
-// (DESIGN.md §12); results must be bit-identical to the default off.
 #include "bench/exp_common.hpp"
 #include "exp/experiments.hpp"
 #include "sim/costs.hpp"
@@ -14,8 +11,6 @@ using namespace lvrm::exp;
 
 int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
-  const Cli cli(argc, argv);
-  const bool descriptor_rings = cli.get_bool("descriptor-rings", false);
   bench::print_header(
       "Experiment 3a: load balancing among VRIs of one VR (360 Kfps, 6 "
       "VRIs, dummy load 1/60 ms)",
@@ -38,7 +33,6 @@ int main(int argc, char** argv) {
       opts.measure = args.scaled(sec(1));
       opts.gw.lvrm.balancer = scheme;
       opts.gw.lvrm.seed = args.seed;
-      opts.gw.lvrm.descriptor_rings = descriptor_rings;
       // The VR "eventually is allocated six cores" under dynamic allocation
       // (Exp 2c); start from that steady state with at most six VRIs.
       opts.gw.lvrm.allocator = AllocatorKind::kDynamicFixedThreshold;

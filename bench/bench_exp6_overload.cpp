@@ -4,10 +4,10 @@
 // question is what the gateway gives back: with the degradation ladder off it
 // tail-drops blindly; with it on, per-flow sampling sheds a *known* subset
 // (so delivered counts stay bias-correctable to within a few percent of the
-// offered ground truth) and RX-side admission keeps pool slots and ring
-// capacity for the surviving subset. The last row decommissions a VRI at the
-// height of the flash — the reset-free drain must migrate every live flow to
-// the siblings with zero reordering and zero leaked pool slots.
+// offered ground truth) and RX-side admission keeps ring capacity for the
+// surviving subset. The last row decommissions a VRI at the height of the
+// flash — the reset-free drain must migrate every live flow to the siblings
+// with zero reordering and zero lost frames.
 #include "bench/exp_common.hpp"
 #include "exp/experiments.hpp"
 #include "lvrm/types.hpp"
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"offered x", "ladder", "deliv %", "lat us", "est err %",
                       "mouse corr %", "peak", "sampled", "admitted out",
-                      "shed", "order viol", "pool leak"},
+                      "shed", "order viol", "lost"},
                      args.csv);
   for (const double mult : {0.8, 1.0, 1.5, 2.0, 3.0}) {
     for (const bool ladder : {false, true}) {
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
            TablePrinter::num(static_cast<std::int64_t>(r.admission_rejected)),
            TablePrinter::num(static_cast<std::int64_t>(r.shed_drops)),
            TablePrinter::num(static_cast<std::int64_t>(r.ordering_violations)),
-           TablePrinter::num(static_cast<std::int64_t>(r.pool_leaked))});
+           TablePrinter::num(static_cast<std::int64_t>(r.lost))});
     }
   }
   table.print(std::cout);
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   opt.measure = args.scaled(opt.measure);
   const auto d = run_overload_trial(opt);
   TablePrinter drain({"migrated", "dropped", "flows re-pinned", "handoff us",
-                      "order viol", "pool leak"},
+                      "order viol", "lost"},
                      args.csv);
   drain.add_row(
       {TablePrinter::num(static_cast<std::int64_t>(d.drain_migrated)),
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
        TablePrinter::num(static_cast<double>(d.drain_handoff_latency) / 1e3,
                          1),
        TablePrinter::num(static_cast<std::int64_t>(d.ordering_violations)),
-       TablePrinter::num(static_cast<std::int64_t>(d.pool_leaked))});
+       TablePrinter::num(static_cast<std::int64_t>(d.lost))});
   drain.print(std::cout);
   return 0;
 }

@@ -9,7 +9,7 @@
 // may steal unpinned backlog from overloaded same-VR siblings and idle
 // shards may steal TX drain bursts. Acceptance bar: >=4x ring reduction
 // and >=1.2x aggregate real-thread fan-in at 8 shards x 16 VRIs, with 0
-// ordering violations and 0 leaked pool slots under stealing.
+// ordering violations and 0 lost frames under stealing.
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
       "DESIGN.md S17",
       "ring inventory collapses >=4x at 8x16 while arena bytes shrink; "
       "real-thread fan-in >=1.2x the SPSC mesh at 8x16; stealing moves "
-      "frames off slowed VRIs with 0 ordering violations and 0 leaked "
-      "pool slots");
+      "frames off slowed VRIs with 0 ordering violations and 0 lost "
+      "frames");
 
   // --- ring inventory: mesh vs fabric across topologies --------------------
   TablePrinter inv({"shards", "vris", "mesh rings", "fabric rings", "reduce",
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   TablePrinter steal({"workload", "stealing", "Kfps", "vri steals",
                       "stolen frames", "tx steals", "order viol",
-                      "pool leaked"},
+                      "lost"},
                      args.csv);
   for (const auto workload : {FabricTrialOptions::Workload::kPinned,
                               FabricTrialOptions::Workload::kSkewFrame,
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
            TablePrinter::num(static_cast<std::int64_t>(r.tx_steals)),
            TablePrinter::num(
                static_cast<std::int64_t>(r.ordering_violations)),
-           TablePrinter::num(static_cast<std::int64_t>(r.pool_leaked))});
+           TablePrinter::num(static_cast<std::int64_t>(r.lost))});
     }
   }
   steal.print(std::cout);

@@ -1296,8 +1296,8 @@ int main(int argc, char** argv) {
       << static_cast<double>(over.ordering_violations +
                              drain.ordering_violations)
       << ",\n"
-      << "  \"overload_pool_leaked\": "
-      << static_cast<double>(over.pool_leaked + drain.pool_leaked) << ",\n"
+      << "  \"overload_lost\": "
+      << static_cast<double>(over.lost + drain.lost) << ",\n"
       << "  \"overload_drain_migrated\": "
       << static_cast<double>(drain.drain_migrated) << ",\n"
       << "  \"flowtable_v1_lookup_ns\": " << ft_v1_lookup << ",\n"
@@ -1416,12 +1416,11 @@ int main(int argc, char** argv) {
       100.0 * over_delivered_frac, 100.0 * over.estimate_error,
       over.peak_level);
   std::printf(
-      "  reset-free drain (sim): %llu migrated, %llu order viol, %llu pool "
-      "leaked\n",
+      "  reset-free drain (sim): %llu migrated, %llu order viol, %llu lost\n",
       static_cast<unsigned long long>(drain.drain_migrated),
       static_cast<unsigned long long>(over.ordering_violations +
                                       drain.ordering_violations),
-      static_cast<unsigned long long>(over.pool_leaked + drain.pool_leaked));
+      static_cast<unsigned long long>(over.lost + drain.lost));
   std::printf("  wrote %s\n", out_path.c_str());
 
   const double tel_gate = cli.get_double("check-telemetry-overhead", -1.0);

@@ -3,12 +3,15 @@
 // Every bench accepts:
 //   --csv           emit CSV instead of an aligned table
 //   --seed=N        reseed the deterministic RNGs
-//   --scale=F       scale measurement windows (0.5 = faster, 2 = longer)
+//   --scale=F       scale measurement windows (0.5 = faster, 2 = longer);
+//                   anything but a positive number exits with status 2
 // and prints which thesis figure it regenerates plus the expected shape, so
 // the output is self-describing when dumped to bench_output.txt.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -28,8 +31,16 @@ struct BenchArgs {
     BenchArgs args;
     args.csv = cli.get_bool("csv", false);
     args.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-    args.scale = cli.get_double("scale", 1.0);
-    if (args.scale <= 0.0) args.scale = 1.0;
+    if (const auto v = cli.get("scale")) {
+      char* end = nullptr;
+      args.scale = std::strtod(v->c_str(), &end);
+      if (v->empty() || *end != '\0' || !std::isfinite(args.scale) ||
+          args.scale <= 0.0) {
+        std::cerr << cli.program() << ": --scale must be a positive number, "
+                  << "got '" << *v << "'\n";
+        std::exit(2);
+      }
+    }
     return args;
   }
 

@@ -15,8 +15,8 @@ namespace lvrm {
 
 class Cli {
  public:
-  /// Parses argv. Unknown flags are collected and reported via unknown();
-  /// positional arguments via positional().
+  /// Parses argv. Flags are looked up by name with the getters below;
+  /// positional arguments are kept in positional().
   Cli(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
@@ -29,7 +29,6 @@ class Cli {
   bool get_bool(const std::string& name, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
-  const std::vector<std::string>& unknown_values() const { return unknown_; }
 
   const std::string& program() const { return program_; }
 
@@ -37,7 +36,6 @@ class Cli {
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
-  std::vector<std::string> unknown_;
 };
 
 }  // namespace lvrm

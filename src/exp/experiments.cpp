@@ -461,7 +461,6 @@ ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt) {
   cfg.granularity = BalancerGranularity::kFlow;
   cfg.dispatch_shards = opt.shards;
   cfg.batched_hot_path = opt.batched;
-  cfg.descriptor_rings = opt.descriptor_rings;
   cfg.state_replication.enabled = opt.replication;
   cfg.seed = opt.seed;
   LvrmSystem sys(simulator, topo, cfg);
@@ -573,7 +572,6 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
                         : BalancerGranularity::kFlow;
   cfg.dispatch_shards = opt.shards;
   cfg.batched_hot_path = opt.batched;
-  cfg.descriptor_rings = opt.descriptor_rings;
   cfg.mpmc_fabric = opt.fabric;
   cfg.work_stealing = opt.stealing;
   cfg.state_replication.enabled = opt.workload == Workload::kElephant;
@@ -603,7 +601,7 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   out.mesh_ring_bytes = sys.mesh_ring_bytes();
   out.fabric_ring_bytes = sys.fabric_ring_bytes();
 
-  std::uint64_t delivered = 0;
+  std::uint64_t offered = 0, delivered = 0, dropped = 0;
   RunningStats latency_us;
   // Per-flow (by src_port) last egressed frame id; ids are per-flow
   // sequence numbers, so any regression is an external reordering.
@@ -616,6 +614,7 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
       ++out.ordering_violations;
     it->second = static_cast<std::int64_t>(f.id);
   });
+  sys.set_drop_hook([&](const net::FrameMeta&, DropCause) { ++dropped; });
 
   FaultInjector faults(simulator, sys);
   if (opt.stealing && opt.workload == Workload::kSkewFrame) {
@@ -629,7 +628,7 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   }
 
   const auto flows = static_cast<std::size_t>(opt.flows);
-  auto make_frame = [&](std::uint16_t src_port, std::uint64_t id) {
+  auto offer = [&](std::uint16_t src_port, std::uint64_t id) {
     net::FrameMeta f;
     f.id = id;
     f.wire_bytes = opt.frame_bytes;
@@ -638,7 +637,8 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
     f.src_port = src_port;
     f.dst_port = 9;
     f.created_at = simulator.now();
-    return f;
+    ++offered;
+    return sys.ingress(f);
   };
 
   constexpr std::uint16_t kElephantPort = 7000;
@@ -658,7 +658,7 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
       elephant_credit += cfg.per_vri_capacity_fps * 4.0 * dt;
       while (elephant_credit >= 1.0) {
         elephant_credit -= 1.0;
-        if (!sys.ingress(make_frame(kElephantPort, elephant_seq))) break;
+        if (!offer(kElephantPort, elephant_seq)) break;
         ++elephant_seq;
       }
       const double mouse_rate =
@@ -668,7 +668,7 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
         while (mouse_credit[m] >= 1.0) {
           mouse_credit[m] -= 1.0;
           const auto port = static_cast<std::uint16_t>(9000 + m);
-          if (!sys.ingress(make_frame(port, flow_seq[m]))) break;
+          if (!offer(port, flow_seq[m])) break;
           ++flow_seq[m];
         }
       }
@@ -680,7 +680,7 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
         const std::size_t m = rr;
         rr = (rr + 1) % flows;
         const auto port = static_cast<std::uint16_t>(9000 + m);
-        if (!sys.ingress(make_frame(port, flow_seq[m]))) break;
+        if (!offer(port, flow_seq[m])) break;
         ++flow_seq[m];
       }
     }
@@ -694,15 +694,14 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   out.delivered_fps =
       static_cast<double>(delivered - mark) / to_seconds(opt.measure);
   // Full drain: every queued frame egresses or lands in a drop bucket, so
-  // a non-zero pool in-flight here is a genuinely leaked slot.
+  // anything unaccounted for here is a genuinely lost frame.
   simulator.run_all();
   out.avg_latency_us = latency_us.mean();
   out.tx_steals = sys.tx_steals();
   out.tx_steal_frames = sys.tx_steal_frames();
   out.vri_steals = sys.vri_steals();
   out.vri_steal_frames = sys.vri_steal_frames();
-  if (const net::FramePool* pool = sys.frame_pool())
-    out.pool_leaked = pool->in_flight();
+  out.lost = offered - delivered - dropped;
   return out;
 }
 
@@ -715,7 +714,6 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
   cfg.adapter = AdapterKind::kMemory;
   cfg.allocator = AllocatorKind::kFixed;
   cfg.granularity = BalancerGranularity::kFlow;
-  cfg.descriptor_rings = opt.descriptor_rings;
   cfg.overload_control.enabled = opt.ladder;
   cfg.seed = opt.seed;
   LvrmSystem sys(simulator, topo, cfg);
@@ -746,6 +744,8 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
       simulator, wl, [&sys](net::FrameMeta&& f) { sys.ingress(std::move(f)); });
 
   OverloadTrialResult out;
+  std::uint64_t dropped = 0;
+  sys.set_drop_hook([&](const net::FrameMeta&, DropCause) { ++dropped; });
   RunningStats latency_us;
   std::vector<std::int64_t> flow_last_id(static_cast<std::size_t>(wl.flows),
                                          -1);
@@ -781,8 +781,8 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
   }
 
   gen.start();
-  // Quiesce well past the stop so every queued frame drains (or is dropped
-  // with its pool slot released) before conservation is read.
+  // Quiesce well past the stop so every queued frame drains (or is
+  // dropped) before conservation is read.
   simulator.run_until(stop + msec(30));
 
   out.offered = gen.sent();
@@ -807,7 +807,7 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
     out.drain_flows_evicted = ev.flows_evicted;
     out.drain_handoff_latency = ev.handoff_latency;
   }
-  if (sys.frame_pool()) out.pool_leaked = sys.frame_pool()->in_flight();
+  out.lost = out.offered - out.delivered - dropped;
   return out;
 }
 

@@ -45,7 +45,6 @@
 #include "lvrm/socket_adapter.hpp"
 #include "lvrm/vri.hpp"
 #include "net/frame.hpp"
-#include "net/frame_pool.hpp"
 #include "queue/shm_arena.hpp"
 #include "sim/core.hpp"
 #include "sim/poll_server.hpp"
@@ -154,7 +153,7 @@ class LvrmSystem {
   /// aimed at `vr` — `fps` extra frames per second pushed straight into
   /// ingress() for `duration`. The burst cycles 64 synthetic flows inside
   /// the VR's first subnet, so it competes with real traffic for the same
-  /// rings, pool slots and queues the ladder protects.
+  /// rings and queues the ladder protects.
   void inject_overload_burst(int vr, double fps, Nanos duration);
 
   /// Reset-free decommission (DESIGN.md §13): stops the VRI, migrates its
@@ -279,11 +278,6 @@ class LvrmSystem {
   const SocketAdapter& adapter() const { return *shards_.front().adapter; }
   const LvrmConfig& config() const { return config_; }
   const queue::ShmArena& shm() const { return arena_; }
-  /// The shared frame pool (descriptor mode), or nullptr when
-  /// `config.descriptor_rings` is off or start() has not run.
-  const net::FramePool* frame_pool() const { return pool_.get(); }
-  /// Frames dropped at ingress because the frame pool was exhausted.
-  std::uint64_t pool_exhausted_drops() const { return pool_exhausted_drops_; }
   /// Shard 0's dispatcher for `vr` (the only one with dispatch_shards=1).
   const Dispatcher& dispatcher(int vr) const;
   /// A specific shard's dispatcher for `vr`.
@@ -355,11 +349,9 @@ class LvrmSystem {
   struct VrState;
   struct SeqOut;  // §16 per-spray-flow TX sequencer state
 
-  /// Every IPC queue carries FrameCell: an inline FrameMeta classically, a
-  /// 32-bit pooled FrameHandle in descriptor mode (DESIGN.md §12). One
-  /// element type keeps the two modes on a single code path.
-  using FrameQueue = sim::BoundedQueue<net::FrameCell>;
-  using FrameServer = sim::PollServer<net::FrameCell>;
+  /// Every IPC queue carries the FrameMeta itself (DESIGN.md §12).
+  using FrameQueue = sim::BoundedQueue<net::FrameMeta>;
+  using FrameServer = sim::PollServer<net::FrameMeta>;
 
   /// One dispatcher shard: its own adapter instance, RX ring, and poll loop
   /// pinned to its own core. Shard 0 is the paper's LVRM process (owner 0,
@@ -382,34 +374,11 @@ class LvrmSystem {
     bool tx_steal_timer_armed = false;
   };
 
-  // --- FrameCell plumbing (descriptor mode; DESIGN.md §12) ------------------
-  /// The frame a cell names (pool deref for handles, inline otherwise).
-  net::FrameMeta& meta_of(net::FrameCell& cell) {
-    return cell.meta(pool_.get());
-  }
-  /// Consumes a cell into a by-value frame, releasing its pool slot.
-  net::FrameMeta take_cell(net::FrameCell&& cell) {
-    return std::move(cell).take(pool_.get());
-  }
-  /// Consumes a cell without using the frame, releasing its pool slot.
-  void drop_cell(net::FrameCell&& cell) { std::move(cell).drop(pool_.get()); }
-  /// Pushes with handle-safe failure: BoundedQueue::push destroys the
-  /// moved-in value on tail-drop, which would silently leak a pool slot, so
-  /// the handle is saved first and released when the push is refused.
-  bool push_cell(FrameQueue& q, net::FrameCell&& cell) {
-    const bool pooled = cell.pooled();
-    const net::FrameHandle h = pooled ? cell.handle() : net::kInvalidFrameHandle;
-    if (q.push(std::move(cell))) return true;
-    if (pooled) pool_->release(h);
-    return false;
-  }
-  /// Drops every queued cell (releasing pool slots); returns how many.
+  /// Drops every queued frame; returns how many.
   std::size_t drain_and_drop(FrameQueue& q, DropCause cause) {
     std::size_t n = 0;
     while (q.size() > 0) {
-      net::FrameCell c = q.pop();
-      note_drop(meta_of(c), cause);
-      drop_cell(std::move(c));
+      note_drop(q.pop(), cause);
       ++n;
     }
     return n;
@@ -426,28 +395,17 @@ class LvrmSystem {
     if (tracer_) trace_drop(f, cause);
     if (drop_hook_) drop_hook_(f, cause);
   }
-  /// push_cell plus drop reporting: the push consumes the cell even on
-  /// refusal, so the meta is copied up front — but only when a hook, the
-  /// tracer or replication (which must see sprayed-frame drops for its
-  /// sequencer tombstones) is installed, keeping the production path
-  /// copy-free.
-  bool push_cell_or_note(FrameQueue& q, net::FrameCell&& cell,
-                         DropCause cause) {
-    if (!drop_hook_ && !tracer_ && !replication_)
-      return push_cell(q, std::move(cell));
-    const net::FrameMeta copy = meta_of(cell);
-    if (push_cell(q, std::move(cell))) return true;
-    note_drop(copy, cause);
+  /// Pushes `f`, reporting it as a `cause` drop when the queue refuses it.
+  bool push_or_note(FrameQueue& q, const net::FrameMeta& f, DropCause cause) {
+    if (q.push(f)) return true;
+    note_drop(f, cause);
     return false;
   }
-  /// RX-side pool exhaustion: count (aggregate + per shard), report the
-  /// drop, and audit at most once per sim second with the exhaustion cause.
-  void on_pool_exhausted(int shard, const net::FrameMeta& frame);
 
   VrState& classify(net::FrameMeta& frame);
   Nanos rx_cost(net::FrameMeta& frame, DispatchShard& shard);
-  Nanos rx_cost_batch(std::span<net::FrameCell> cells, DispatchShard& shard);
-  void rx_sink(net::FrameCell&& cell);
+  Nanos rx_cost_batch(std::span<net::FrameMeta> frames, DispatchShard& shard);
+  void rx_sink(net::FrameMeta&& frame);
   void maybe_allocate();
   void reap_crashed();
   void activate_vri(VrState& vr, bool from_recovery = false);
@@ -473,18 +431,18 @@ class LvrmSystem {
                     Nanos stalled_for);
   void rebuild_router(VrState& vr, VriSlot& slot);
   void discard_stale_control(VriSlot& slot);
-  std::size_t redispatch(VrState& vr, std::vector<net::FrameCell>& cells);
+  std::size_t redispatch(VrState& vr, std::vector<net::FrameMeta>& frames);
   // Overload shedding; returns true when the frame was handled (shed).
-  bool maybe_shed(VrState& vr, VriSlot& slot, net::FrameCell& cell);
+  bool maybe_shed(VrState& vr, VriSlot& slot, net::FrameMeta& frame);
   // Overload ladder (DESIGN.md §13; all no-ops unless
   // config.overload_control.enabled).
   /// Whether the frame's flow falls in the sampling subset at this rate.
   bool in_subset(const net::FrameMeta& f, double rate) const;
-  /// Level-2 RX gate; true when the frame was rejected before ring/pool.
+  /// Level-2 RX gate; true when the frame was rejected before the ring.
   bool admission_reject(net::FrameMeta& frame);
   /// Level-1 dispatch-time sampling shed (also feeds the window pressure
   /// accounting and the bias-corrected offered estimate).
-  bool maybe_sample_shed(VrState& vr, VriSlot& slot, net::FrameCell& cell);
+  bool maybe_sample_shed(VrState& vr, VriSlot& slot, net::FrameMeta& frame);
   /// Window adaptation: escalate / relax the VR's sampling rate and level.
   void overload_tick(VrState& vr, Nanos now);
   void set_overload_state(VrState& vr, OverloadLevel level, double rate,
@@ -592,12 +550,6 @@ class LvrmSystem {
   std::vector<bool> core_used_;
   queue::ShmArena arena_;
 
-  // Shared frame pool (descriptor mode only; created in start() so its
-  // auto-sizing sees the final shard and queue geometry).
-  std::unique_ptr<net::FramePool> pool_;
-  std::uint64_t pool_exhausted_drops_ = 0;
-  Nanos last_pool_audit_ = -1;  // rate limit: one audit event per sim second
-
   std::vector<DispatchShard> shards_;  // fixed at construction, never resized
   std::unique_ptr<CoreAllocator> allocator_;
 
@@ -649,7 +601,7 @@ class LvrmSystem {
   std::unordered_map<std::uint64_t, std::function<void(Nanos)>> control_cbs_;
 
   // State replication (DESIGN.md §16). `replication_` caches the config
-  // gate so the hot-path checks (note_drop, push_cell_or_note, the TX sink)
+  // gate so the hot-path checks (note_drop, the TX sink)
   // stay one bool test with the feature off.
   bool replication_ = false;
   std::uint64_t sprayed_frames_ = 0;

@@ -102,7 +102,8 @@ enum class OverloadLevel {
 /// (delivered + every cause == offered) is checkable per flow class.
 enum class DropCause {
   kRxRingFull,      // ingress: shard RX ring tail-drop
-  kPoolExhausted,   // ingress: descriptor frame pool ran dry
+  kPoolExhausted,   // never raised (LvrmSystem has no frame pool); kept
+                    // because perfbench names it and hashes cause numbers
   kAdmissionReject, // ingress: overload ladder level 2 rejected the flow
   kSampledShed,     // dispatch: flow outside the sampling subset (level 1+)
   kShedDropNewest,  // classic watermark shed: arriving frame dropped

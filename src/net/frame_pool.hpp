@@ -2,12 +2,12 @@
 //
 // The thesis' LVRM moves packet bytes exactly once: the capture path writes a
 // frame into a per-queue shm segment (Sec 3.8) and everything downstream
-// passes *references* to it. Our simulated hot path historically copied the
-// ~128-byte FrameMeta by value at every ring hop, so one frame was memcpy'd
-// 3-5x between RX ingress and TX completion. FramePool restores the paper's
-// economy: frames live in cache-line-aligned slots inside a ShmArena segment
-// (same shmget/shmat protocol the queues use) and the rings carry a 32-bit
-// FrameHandle descriptor instead of the payload.
+// passes *references* to it. FramePool is that economy for code that moves
+// frames between real threads: frames live in cache-line-aligned slots
+// inside a ShmArena segment (same shmget/shmat protocol the queues use) and
+// the rings carry a 32-bit FrameHandle descriptor instead of the payload.
+// The simulated LvrmSystem does not use it: no frame crosses real memory
+// there, so its queues carry the FrameMeta itself (DESIGN.md §12).
 //
 // Handle layout — {generation:8 | slot index:24}:
 //   * the index addresses one of up to 2^24 slots;
@@ -18,10 +18,9 @@
 //
 // Recycling runs through a lock-free SPSC free-list ring: slot indices are
 // pushed at release and popped at acquire. That restricts the pool to ONE
-// acquiring endpoint and ONE releasing endpoint at a time — exactly the
-// LvrmSystem discipline, where the (simulated) cores interleave on one host
-// thread: ingress acquires, TX completion / drop paths release. The free
-// list is sized >= capacity, so a release can never fail.
+// acquiring endpoint and ONE releasing endpoint at a time: ingress acquires,
+// TX completion / drop paths release. The free list is sized >= capacity,
+// so a release can never fail.
 //
 // Exhaustion is not an error: acquire() returns kInvalidFrameHandle, bumps
 // the exhausted counter, and the caller drops the newest frame (RX tail-drop
@@ -31,7 +30,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <variant>
 
 #include "net/frame.hpp"
 #include "queue/shm_arena.hpp"
@@ -163,56 +161,6 @@ class FramePool {
   std::atomic<std::uint64_t> acquired_{0};
   std::atomic<std::uint64_t> released_{0};
   std::atomic<std::uint64_t> exhausted_{0};
-};
-
-/// One element of an LVRM IPC queue: either an inline FrameMeta (classic
-/// mode, control frames) or a pooled FrameHandle (descriptor mode). Moving a
-/// handle-holding cell moves 4 bytes instead of the ~128-byte payload — the
-/// zero-copy win — while every queue keeps a single element type so the two
-/// modes share one code path. Default-constructs to an inline empty frame
-/// (PollServer requires default-constructible elements).
-class FrameCell {
- public:
-  FrameCell() = default;
-  explicit FrameCell(FrameMeta&& meta) : repr_(std::move(meta)) {}
-  explicit FrameCell(FrameHandle handle) : repr_(handle) {}
-
-  bool pooled() const { return std::holds_alternative<FrameHandle>(repr_); }
-  FrameHandle handle() const { return std::get<FrameHandle>(repr_); }
-
-  /// The frame this cell names; `pool` may be null iff the cell is inline.
-  FrameMeta& meta(FramePool* pool) {
-    if (auto* h = std::get_if<FrameHandle>(&repr_)) return pool->at(*h);
-    return std::get<FrameMeta>(repr_);
-  }
-  const FrameMeta& meta(const FramePool* pool) const {
-    if (const auto* h = std::get_if<FrameHandle>(&repr_)) return pool->at(*h);
-    return std::get<FrameMeta>(repr_);
-  }
-
-  /// Consumes the cell, returning the frame by value and releasing the slot
-  /// if pooled (the "free once at TX completion" half of the lifecycle).
-  FrameMeta take(FramePool* pool) && {
-    if (auto* h = std::get_if<FrameHandle>(&repr_)) {
-      FrameMeta out = pool->at(*h);
-      pool->release(*h);
-      repr_ = FrameMeta{};
-      return out;
-    }
-    FrameMeta out = std::move(std::get<FrameMeta>(repr_));
-    repr_ = FrameMeta{};
-    return out;
-  }
-
-  /// Consumes the cell without needing the frame (the "free once at drop"
-  /// half): releases the slot if pooled, otherwise just discards.
-  void drop(FramePool* pool) && {
-    if (auto* h = std::get_if<FrameHandle>(&repr_)) pool->release(*h);
-    repr_ = FrameMeta{};
-  }
-
- private:
-  std::variant<FrameMeta, FrameHandle> repr_;
 };
 
 }  // namespace lvrm::net

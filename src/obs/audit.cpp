@@ -11,7 +11,6 @@ const char* to_string(AuditKind k) {
     case AuditKind::kHealthFailSlow: return "health_fail_slow";
     case AuditKind::kShedEpisode: return "shed_episode";
     case AuditKind::kBalanceSummary: return "balance_summary";
-    case AuditKind::kPoolExhausted: return "pool_exhausted";
     case AuditKind::kOverloadLevel: return "overload_level";
     case AuditKind::kVriDrain: return "vri_drain";
     case AuditKind::kFlowTableResize: return "flowtable_resize";
@@ -20,15 +19,6 @@ const char* to_string(AuditKind k) {
     case AuditKind::kFlowSprayEnd: return "flow_spray_end";
     case AuditKind::kTxSteal: return "tx_steal";
     case AuditKind::kVriSteal: return "vri_steal";
-  }
-  return "unknown";
-}
-
-const char* to_string(PoolExhaustCause c) {
-  switch (c) {
-    case PoolExhaustCause::kUnknown: return "unknown";
-    case PoolExhaustCause::kConfiguredCapacity: return "configured_capacity";
-    case PoolExhaustCause::kOverload: return "overload";
   }
   return "unknown";
 }

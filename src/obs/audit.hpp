@@ -28,7 +28,6 @@ enum class AuditKind : std::uint8_t {
   kHealthFailSlow, // health monitor flagged a fail-slow VRI
   kShedEpisode,    // a contiguous run of overload shedding on one VR
   kBalanceSummary, // periodic balancer choice summary for one VR
-  kPoolExhausted,  // frame pool ran dry at RX ingress (rate-limited)
   kOverloadLevel,  // a VR's degradation ladder changed level / sampling rate
   kVriDrain,       // reset-free VRI drain: live flows migrated to siblings
   kFlowTableResize,  // a dispatcher's flow table rebuilt / finished migrating
@@ -40,15 +39,6 @@ enum class AuditKind : std::uint8_t {
 };
 
 const char* to_string(AuditKind k);
-
-/// AuditEvent::cause values for kPoolExhausted: why the pool could run dry.
-enum class PoolExhaustCause : std::uint8_t {
-  kUnknown = 0,
-  kConfiguredCapacity = 1,  // explicit frame_pool_capacity undersized the pool
-  kOverload = 2,            // auto-sized pool: only pathological overload
-};
-
-const char* to_string(PoolExhaustCause c);
 
 /// One fixed-size audit record. Field meaning by kind:
 ///   kVriCreate / kVriDestroy:
@@ -74,12 +64,6 @@ const char* to_string(PoolExhaustCause c);
 ///     a         = frames dispatched since last summary
 ///     b         = flow-table hits since last summary
 ///     c         = active VRI count
-///   kPoolExhausted (rate-limited to one event per sim second):
-///     a         = frames in flight (== pool capacity at exhaustion)
-///     b         = pool capacity
-///     c         = cumulative exhaustion drops so far
-///     shard     = shard whose ingress saw the exhaustion
-///     cause     = PoolExhaustCause
 ///   kOverloadLevel (ladder transition, DESIGN.md §13):
 ///     rate      = sampling rate after the transition
 ///     threshold = window pressure fraction that triggered it
@@ -103,8 +87,7 @@ const char* to_string(PoolExhaustCause c);
 ///     b         = dump sequence number since start
 ///     c         = records written across all shard rings so far
 ///     shard     = triggering shard (-1 when not shard-specific)
-///     cause     = FlightDumpCause (vri-crash / quarantine / admission /
-///                 pool-exhausted)
+///     cause     = FlightDumpCause (vri-crash / quarantine / admission)
 ///   kFlowSpray (§16; spray activation after the snapshot handshake):
 ///     rate      = detected flow rate (fps) inside the detection window
 ///     threshold = elephant threshold (fps) it crossed
@@ -141,8 +124,8 @@ struct AuditEvent {
   /// one: 0 = same socket as the shard's core, 1 = same machine (other
   /// socket), 2 = remote machine, -1 = not an allocation / over-commit.
   std::int8_t numa_tier = -1;
-  /// Kind-specific cause code (PoolExhaustCause for kPoolExhausted,
-  /// DrainCause for kVriDrain); 0 for kinds without one.
+  /// Kind-specific cause code (e.g. DrainCause for kVriDrain); 0 for kinds
+  /// without one.
   std::uint8_t cause = 0;
   double rate = 0.0;
   double threshold = 0.0;

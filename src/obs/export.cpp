@@ -219,20 +219,6 @@ void write_chrome_trace(const std::vector<AuditEvent>& events,
         emit(buf);
         break;
       }
-      case AuditKind::kPoolExhausted: {
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"s\":\"p\","
-            "\"name\":\"pool_exhausted\",\"args\":{\"in_flight\":%llu,"
-            "\"capacity\":%llu,\"drops\":%llu,\"shard\":%d,"
-            "\"cause\":\"%s\"}}",
-            ts, static_cast<unsigned long long>(e.a),
-            static_cast<unsigned long long>(e.b),
-            static_cast<unsigned long long>(e.c), e.shard,
-            esc(to_string(static_cast<PoolExhaustCause>(e.cause))).c_str());
-        emit(buf);
-        break;
-      }
       case AuditKind::kOverloadLevel: {
         std::snprintf(
             buf, sizeof(buf),

@@ -222,7 +222,7 @@ TEST(FabricTrial, PinnedWorkloadIsCleanOnFabric) {
   const auto r = run_fabric_trial(opt);
   EXPECT_GT(r.delivered_fps, 0.0);
   EXPECT_EQ(r.ordering_violations, 0u);
-  EXPECT_EQ(r.pool_leaked, 0u);
+  EXPECT_EQ(r.lost, 0u);
   EXPECT_EQ(r.vri_steals, 0u);
   EXPECT_GT(r.mesh_rings, r.fabric_rings);
 }
@@ -239,7 +239,7 @@ TEST(FabricTrial, SkewedFrameWorkloadStealsUnderStealing) {
   opt.measure = msec(30);
   const auto r = run_fabric_trial(opt);
   EXPECT_GT(r.delivered_fps, 0.0);
-  EXPECT_EQ(r.pool_leaked, 0u);
+  EXPECT_EQ(r.lost, 0u);
   EXPECT_GT(r.vri_steals + r.tx_steals, 0u);
 }
 
@@ -256,7 +256,7 @@ TEST(FabricTrial, ElephantWorkloadKeepsOrderingUnderStealing) {
   const auto r = run_fabric_trial(opt);
   EXPECT_GT(r.delivered_fps, 0.0);
   EXPECT_EQ(r.ordering_violations, 0u);
-  EXPECT_EQ(r.pool_leaked, 0u);
+  EXPECT_EQ(r.lost, 0u);
 }
 
 }  // namespace

@@ -178,6 +178,27 @@ TEST(Recovery, CrashStrandedFramesAreRedispatched) {
   EXPECT_EQ(rig.accounted(), rig.sent);
 }
 
+TEST(Recovery, ReapOfTheLastVriReportsItsStrandedFramesAsDrops) {
+  // A dynamic allocator does not respawn at reap time, so when the VR's
+  // only VRI crashes its stranded frames have no survivor to go to. They
+  // are dropped, and the drop hook must see each one.
+  LvrmConfig cfg;
+  cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
+  cfg.health = enabled_health();
+  RecoveryRig rig(cfg, 1);
+  std::uint64_t dropped = 0;
+  rig.sys->set_drop_hook([&](const net::FrameMeta&, DropCause) { ++dropped; });
+  rig.offer(50'000.0, sec(2));
+  // Just before the first allocation pass, which reaps the corpse before
+  // the next heartbeat can quarantine it.
+  rig.faults->schedule(
+      {.kind = FaultKind::kCrash, .vri = 0, .at = sec(1) - usec(50)});
+  rig.sim.run_all();
+
+  ASSERT_EQ(rig.sys->crashed_vris_reaped(), 1u);
+  EXPECT_EQ(rig.delivered + dropped, rig.sent);
+}
+
 TEST(Recovery, RespawnedVriReplaysRouteUpdatesHealthPath) {
   // Satellite regression: a dynamic route broadcast BEFORE the crash must be
   // present in the respawned (fresh-process) incarnation. Round-robin makes

@@ -160,7 +160,6 @@ TEST(MpmcFabric, FabricArenaReservesFewerBytesThanMesh) {
   // reservation is strictly smaller than the mesh build's for the same
   // topology, and the reclaimed headroom is published as a gauge.
   LvrmConfig mesh_cfg = FabricRig::cfg(2, false, false);
-  mesh_cfg.descriptor_rings = true;
   LvrmConfig fab_cfg = mesh_cfg;
   fab_cfg.mpmc_fabric = true;
   FabricRig mesh(mesh_cfg, 4);
@@ -264,12 +263,11 @@ TEST(MpmcFabric, StealVsPinOrderingSurvivesCrashRespawn) {
 }
 
 TEST(MpmcFabric, StealingLeaksNoPoolSlotsAcrossConfigMatrix) {
-  // Zero-leaked-pool-slots conservation with stealing under the §12
-  // descriptor plane x §9 batched hot path x §11 sharding, through a crash:
-  // every acquired slot comes back no matter which server ran the frame.
+  // Conservation with stealing under the §9 batched hot path x §11
+  // sharding, through a crash: every frame is delivered or lands in a drop
+  // bucket no matter which server ran it.
   for (const bool batched : {false, true}) {
     LvrmConfig c = FabricRig::cfg(2, true, true);
-    c.descriptor_rings = true;
     c.batched_hot_path = batched;
     c.health.enabled = true;
     FabricRig rig(c, 4);
@@ -283,12 +281,7 @@ TEST(MpmcFabric, StealingLeaksNoPoolSlotsAcrossConfigMatrix) {
         {.kind = FaultKind::kCrash, .vri = 1, .at = sec(1) + msec(350)});
     rig.sim.run_all();
 
-    const net::FramePool* pool = rig.sys->frame_pool();
-    ASSERT_NE(pool, nullptr);
-    EXPECT_GT(pool->acquired_total(), 0u) << "batched=" << batched;
-    EXPECT_EQ(pool->acquired_total(), pool->released_total())
-        << "batched=" << batched;
-    EXPECT_EQ(pool->in_flight(), 0u) << "batched=" << batched;
+    EXPECT_GT(rig.sent, 0u) << "batched=" << batched;
     EXPECT_EQ(rig.accounted(), rig.sent) << "batched=" << batched;
   }
 }

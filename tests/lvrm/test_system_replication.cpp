@@ -1,7 +1,6 @@
 // State-compute replication through the assembled system (DESIGN.md §16):
 // the rollout contract (enabled-but-idle is byte-identical to disabled),
-// the elephant-spraying claim across the batched × sharded × descriptor
-// matrix, policy-drop accounting for stateful VRs, and the healthy-pool
+// the elephant-spraying claim across the batched × sharded matrix, policy-drop accounting for stateful VRs, and the healthy-pool
 // generation cache the §16 work piggybacked on the Dispatcher.
 #include <gtest/gtest.h>
 
@@ -99,24 +98,20 @@ TEST(SystemReplication, OrderingHoldsAcrossBatchedShardedDescriptorMatrix) {
   // the elephant past one VRI's capacity and egresses it in order.
   for (const bool batched : {false, true}) {
     for (const int shards : {1, 2}) {
-      for (const bool descriptor : {false, true}) {
-        exp::ElephantTrialOptions opt;
-        opt.replication = true;
-        opt.vris = 4;
-        opt.batched = batched;
-        opt.shards = shards;
-        opt.descriptor_rings = descriptor;
-        opt.warmup = msec(10);
-        opt.measure = msec(40);
-        const auto r = exp::run_elephant_trial(opt);
-        const std::string mode = std::string(batched ? "batched" : "classic") +
-                                 "/" + std::to_string(shards) + "-shard/" +
-                                 (descriptor ? "descriptor" : "inline");
-        EXPECT_EQ(r.ordering_violations, 0u) << mode;
-        EXPECT_GT(r.elephant_fps, 1.1 * kOneVriFps)
-            << mode << " delivered " << r.elephant_fps << " fps";
-        EXPECT_GE(r.spray_activations, 1u) << mode;
-      }
+      exp::ElephantTrialOptions opt;
+      opt.replication = true;
+      opt.vris = 4;
+      opt.batched = batched;
+      opt.shards = shards;
+      opt.warmup = msec(10);
+      opt.measure = msec(40);
+      const auto r = exp::run_elephant_trial(opt);
+      const std::string mode = std::string(batched ? "batched" : "classic") +
+                               "/" + std::to_string(shards) + "-shard";
+      EXPECT_EQ(r.ordering_violations, 0u) << mode;
+      EXPECT_GT(r.elephant_fps, 1.1 * kOneVriFps)
+          << mode << " delivered " << r.elephant_fps << " fps";
+      EXPECT_GE(r.spray_activations, 1u) << mode;
     }
   }
 }

@@ -158,8 +158,8 @@ TEST(ChromeTrace, MalformedCauseCodesCannotBreakTheDocument) {
   // escaper like every other table string).
   std::vector<AuditEvent> evs;
   for (const AuditKind kind :
-       {AuditKind::kPoolExhausted, AuditKind::kVriDrain,
-        AuditKind::kFlowTableResize, AuditKind::kFlightDump}) {
+       {AuditKind::kVriDrain, AuditKind::kFlowTableResize,
+        AuditKind::kFlightDump}) {
     AuditEvent e;
     e.time = usec(10);
     e.until = e.time;
