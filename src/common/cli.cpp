@@ -1,6 +1,10 @@
 #include "common/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <iostream>
 
 namespace lvrm {
 
@@ -46,17 +50,35 @@ std::string Cli::get_string(const std::string& name,
   return v && !v->empty() ? *v : fallback;
 }
 
+void Cli::reject(const std::string& name, const std::string& value,
+                 const char* what) const {
+  std::cerr << program_ << ": --" << name << " must be " << what << ", got '"
+            << value << "'\n";
+  std::exit(2);
+}
+
 std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  char* end = nullptr;
+  errno = 0;
+  const std::int64_t n = std::strtoll(v->c_str(), &end, 10);
+  if (std::isspace(static_cast<unsigned char>(v->front())) || *end != '\0' ||
+      errno == ERANGE)
+    reject(name, *v, "an integer");
+  return n;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtod(v->c_str(), nullptr);
+  char* end = nullptr;
+  const double x = std::strtod(v->c_str(), &end);
+  if (std::isspace(static_cast<unsigned char>(v->front())) || *end != '\0' ||
+      !std::isfinite(x))
+    reject(name, *v, "a number");
+  return x;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

@@ -24,6 +24,9 @@ class Cli {
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
+  /// A flag given with a value that is not entirely a number (`--seed=1x`,
+  /// `--flows=abc`, `--tolerance=0.2.5`) prints a message naming the flag and
+  /// exits with status 2. A missing or empty value returns `fallback`.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
@@ -33,6 +36,9 @@ class Cli {
   const std::string& program() const { return program_; }
 
  private:
+  [[noreturn]] void reject(const std::string& name, const std::string& value,
+                           const char* what) const;
+
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;

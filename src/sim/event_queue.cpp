@@ -21,12 +21,11 @@ void EventQueue::add_chunk() {
   for (std::uint32_t s = first + kChunkSlots; s-- > first;) free_.push_back(s);
 }
 
-EventId EventQueue::link(Nanos at, std::uint32_t slot) {
-  const EventId id = next_id_++;
-  insert_id(id, slot);
+void EventQueue::link(Nanos at, EventId id, std::uint32_t slot,
+                      bool indexed) {
+  if (indexed) insert_id(id, slot);
   heap_.push_back(Entry{});
-  sift_up(heap_.size() - 1, Entry{at, id, slot});
-  return id;
+  sift_up(heap_.size() - 1, Entry{at, id, slot, indexed});
 }
 
 void EventQueue::cancel(EventId id) {
@@ -43,7 +42,7 @@ void EventQueue::cancel(EventId id) {
 
 EventQueue::Entry EventQueue::detach_top() {
   const Entry top = heap_.front();
-  erase_id_at(find_id(top.id));
+  if (top.indexed) erase_id_at(find_id(top.id));
   remove_at(0);
   return top;
 }
@@ -118,7 +117,8 @@ std::size_t EventQueue::find_id(EventId id) const {
 }
 
 void EventQueue::insert_id(EventId id, std::uint32_t slot) {
-  // The table holds exactly the queued events; keep it at most half full.
+  // The table holds the queued cancellable events, so at most heap_.size()
+  // of them; keep it at most half full.
   if (2 * (heap_.size() + 1) > ids_.size()) {
     std::vector<IdSlot> old(2 * ids_.size());
     old.swap(ids_);

@@ -2,7 +2,8 @@
 //
 // Events pop in (time, insertion sequence) order, so simulation runs are
 // fully deterministic regardless of heap internals. EventIds are handed out
-// sequentially from 1 in push order.
+// sequentially from 1 in push order; an EventLane (event_lane.hpp) takes its
+// items' ids at its own push and queues them later under those ids.
 //
 // Nothing on the event path allocates once the queue has warmed up
 // (DESIGN.md "Event kernel"):
@@ -13,6 +14,7 @@
 //     heap position, so cancel() takes the entry out at once and the heap
 //     holds only live events (TCP re-arms its RTO timer on every ACK);
 //   * cancel() finds the slot of an id in a flat open-addressing table.
+//     EventLane's head events cannot be cancelled and skip the table.
 #pragma once
 
 #include <cassert>
@@ -41,11 +43,10 @@ class EventQueue {
   /// time `at`. Returns a handle usable with cancel().
   template <typename F>
   EventId push(Nanos at, F&& cb) {
-    if (free_.empty()) add_chunk();
-    const std::uint32_t slot = free_.back();
-    callback(slot).emplace(std::forward<F>(cb));
-    free_.pop_back();
-    return link(at, slot);
+    const std::uint32_t slot = fill_slot(std::forward<F>(cb));
+    const EventId id = next_id_++;
+    link(at, id, slot, true);
+    return id;
   }
 
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled,
@@ -71,6 +72,7 @@ class EventQueue {
 
  private:
   friend class Simulator;
+  friend class EventLane;
 
   static constexpr std::size_t kChunkSlots = 256;
 
@@ -78,6 +80,7 @@ class EventQueue {
     Nanos at;
     EventId id;
     std::uint32_t slot;
+    bool indexed;  // in the id table, i.e. cancellable
   };
   // Min-heap order on (at, id): earlier time first, then insertion order.
   static bool before(const Entry& a, const Entry& b) {
@@ -100,8 +103,30 @@ class EventQueue {
   /// Returns false when nothing is due.
   bool fire_due(Nanos deadline, Nanos& clock, std::uint64_t& fired);
 
+  template <typename F>
+  std::uint32_t fill_slot(F&& cb) {
+    if (free_.empty()) add_chunk();
+    const std::uint32_t slot = free_.back();
+    callback(slot).emplace(std::forward<F>(cb));
+    free_.pop_back();
+    return slot;
+  }
+
+  // EventLane's entry points. reserve() takes the next EventId, exactly as a
+  // push() would, without queueing anything; push_reserved() later queues a
+  // callback under that id. An event fires at its (at, id) key whenever it
+  // entered the heap, so a reserved id keeps the place its push() would have.
+  // Nobody holds a reserved id, so such an event stays out of the id table
+  // and cancel() does not find it.
+  EventId reserve() { return next_id_++; }
+  template <typename F>
+  void push_reserved(Nanos at, EventId id, F&& cb) {
+    assert(id != kInvalidEvent && id < next_id_);
+    link(at, id, fill_slot(std::forward<F>(cb)), false);
+  }
+
   void add_chunk();
-  EventId link(Nanos at, std::uint32_t slot);
+  void link(Nanos at, EventId id, std::uint32_t slot, bool indexed);
 
   // The helpers below run on every event. They are defined, and inlined,
   // in event_queue.cpp only.

@@ -6,16 +6,21 @@
 // frames arriving while the transmit queue is full are tail-dropped, which is
 // the loss signal TCP Reno reacts to in Experiments 3c and 4.
 //
-// Deliveries fire in transmit order: the wire frees up at non-decreasing
-// times and propagation is fixed, and equal times fire in push order. So the
-// link keeps the pending `deliver` callbacks in a FIFO ring, and each
-// delivery event captures only `this` and runs the ring's head.
+// A frame that finds the wire busy waits in the transmit queue until its
+// serialization starts; every frame is delivered once serialization and
+// propagation are over. The wire frees up at non-decreasing times and
+// propagation is fixed, so both kinds of event come in FIFO order, and each
+// runs on its own EventLane (event_lane.hpp): a queued frame costs a ring
+// slot, not a heap entry, and the heap holds at most one event per lane.
+// The starts lane carries no callbacks; its length is the backlog.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "common/units.hpp"
+#include "sim/event_lane.hpp"
 #include "sim/simulator.hpp"
 
 namespace lvrm::sim {
@@ -29,40 +34,57 @@ class Link {
       : sim_(sim),
         rate_(rate),
         propagation_(propagation),
-        queue_limit_(queue_limit) {}
+        queue_limit_(queue_limit),
+        starts_(sim),
+        deliveries_(sim) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Queues `bytes` for transmission; `deliver` fires at the receiver once
-  /// serialization + propagation complete. Returns false (tail drop) when
-  /// the transmit queue is full.
-  bool transmit(std::int64_t bytes, Callback deliver);
+  /// Queues `bytes` for transmission; `deliver` (any `void()` callable, or
+  /// nullptr) fires at the receiver once serialization + propagation
+  /// complete. It is constructed in place in its delivery-lane slot. Returns
+  /// false (tail drop) when the transmit queue is full.
+  template <typename F>
+  bool transmit(std::int64_t bytes, F&& deliver) {
+    // A frame whose serialization has not begun occupies a TX-ring slot.
+    const Nanos now = sim_.now();
+    const bool wire_busy = wire_free_at_ > now;
+    if (wire_busy && backlog() >= queue_limit_) {
+      ++drops_;
+      return false;
+    }
 
-  std::uint64_t delivered() const { return delivered_; }
+    const Nanos start = std::max(now, wire_free_at_);
+    const Nanos wire = wire_time(bytes, rate_);
+    wire_free_at_ = start + wire;
+    busy_time_ += wire;
+
+    if (wire_busy) starts_.at(start, nullptr);
+    deliveries_.at(wire_free_at_ + propagation_, std::forward<F>(deliver));
+    ++accepted_;
+    return true;
+  }
+
+  std::uint64_t delivered() const { return accepted_ - deliveries_.size(); }
   std::uint64_t drops() const { return drops_; }
-  std::size_t backlog() const { return backlog_; }
+  std::size_t backlog() const { return starts_.size(); }
   BitsPerSec rate() const { return rate_; }
 
   /// Nanoseconds the wire has been occupied (for utilization reporting).
   Nanos busy_time() const { return busy_time_; }
 
  private:
-  void deliver_next();
-
   Simulator& sim_;
   BitsPerSec rate_;
   Nanos propagation_;
   std::size_t queue_limit_;
   Nanos wire_free_at_ = 0;
-  std::size_t backlog_ = 0;
-  std::uint64_t delivered_ = 0;
+  std::uint64_t accepted_ = 0;
   std::uint64_t drops_ = 0;
   Nanos busy_time_ = 0;
-  // Pending deliveries in transmit order: a ring of power-of-two size.
-  std::vector<Callback> pending_;
-  std::size_t pending_head_ = 0;
-  std::size_t pending_count_ = 0;
+  EventLane starts_;      // one empty item per frame waiting for the wire
+  EventLane deliveries_;  // one `deliver` per frame in flight
 };
 
 }  // namespace lvrm::sim

@@ -57,6 +57,8 @@ class Simulator {
   bool idle() const { return queue_.empty(); }
 
  private:
+  friend class EventLane;
+
   Nanos now_ = 0;
   EventQueue queue_;
   std::uint64_t processed_ = 0;

@@ -9,7 +9,7 @@ static_assert(2 * sizeof(void*) + sizeof(net::FrameMeta) <=
               sim::Callback::kInlineBytes);
 
 Testbed::Testbed(sim::Simulator& sim, Config config)
-    : sim_(sim), config_(config) {
+    : sim_(sim), config_(config), host_tx_(sim), host_rx_(sim) {
   auto make_link = [&] {
     return std::make_unique<sim::Link>(sim_, config_.link_rate,
                                        config_.propagation, config_.tx_queue);
@@ -31,7 +31,7 @@ void Testbed::into_gateway(net::FrameMeta frame) {
 void Testbed::from_sender(int host, net::FrameMeta frame) {
   sim::Link& access =
       *sender_access_.at(static_cast<std::size_t>(host) % sender_access_.size());
-  sim_.after(config_.host_tx_latency, [this, &access, frame]() mutable {
+  host_tx_.after(config_.host_tx_latency, [this, &access, frame]() mutable {
     access.transmit(frame.wire_bytes, [this, frame]() mutable {
       fwd_trunk_->transmit(frame.wire_bytes,
                            [this, frame] { into_gateway(frame); });
@@ -42,7 +42,7 @@ void Testbed::from_sender(int host, net::FrameMeta frame) {
 void Testbed::from_receiver(int host, net::FrameMeta frame) {
   sim::Link& access = *receiver_access_.at(static_cast<std::size_t>(host) %
                                            receiver_access_.size());
-  sim_.after(config_.host_tx_latency, [this, &access, frame]() mutable {
+  host_tx_.after(config_.host_tx_latency, [this, &access, frame]() mutable {
     access.transmit(frame.wire_bytes, [this, frame]() mutable {
       rev_trunk_->transmit(frame.wire_bytes,
                            [this, frame] { into_gateway(frame); });
@@ -53,14 +53,14 @@ void Testbed::from_receiver(int host, net::FrameMeta frame) {
 void Testbed::gateway_egress(net::FrameMeta&& frame) {
   if (frame.output_if == 1) {
     out_fwd_->transmit(frame.wire_bytes, [this, frame] {
-      sim_.after(config_.host_rx_latency, [this, frame]() mutable {
+      host_rx_.after(config_.host_rx_latency, [this, frame]() mutable {
         ++delivered_fwd_;
         if (to_receiver_) to_receiver_(std::move(frame));
       });
     });
   } else {
     out_rev_->transmit(frame.wire_bytes, [this, frame] {
-      sim_.after(config_.host_rx_latency, [this, frame]() mutable {
+      host_rx_.after(config_.host_rx_latency, [this, frame]() mutable {
         ++delivered_rev_;
         if (to_sender_) to_sender_(std::move(frame));
       });

@@ -16,6 +16,7 @@
 #include "common/units.hpp"
 #include "net/frame.hpp"
 #include "sim/costs.hpp"
+#include "sim/event_lane.hpp"
 #include "sim/link.hpp"
 #include "sim/simulator.hpp"
 
@@ -81,6 +82,10 @@ class Testbed {
   std::unique_ptr<sim::Link> rev_trunk_;  // receiver switch -> gateway
   std::unique_ptr<sim::Link> out_fwd_;    // gateway -> receiver switch
   std::unique_ptr<sim::Link> out_rev_;    // gateway -> sender switch
+  // The host stacks' constant latencies keep their frames in order, so each
+  // hop waits on a lane, not in the event heap.
+  sim::EventLane host_tx_;  // host -> access link
+  sim::EventLane host_rx_;  // receiving link -> host
 
   std::uint64_t delivered_fwd_ = 0;
   std::uint64_t delivered_rev_ = 0;

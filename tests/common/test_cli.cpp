@@ -65,5 +65,39 @@ TEST(Cli, FallbacksWhenMissing) {
   EXPECT_FALSE(cli.has("x"));
 }
 
+TEST(Cli, NegativeAndSignedNumbersParse) {
+  const Cli cli = make({"prog", "--n=-3", "--x=+2.5e-1"});
+  EXPECT_EQ(cli.get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(cli.get_double("x", 0.0), 0.25);
+}
+
+TEST(Cli, EmptyValueFallsBack) {
+  const Cli cli = make({"prog", "--seed=", "--tol"});
+  EXPECT_EQ(cli.get_int("seed", 4), 4);
+  EXPECT_DOUBLE_EQ(cli.get_double("tol", 0.5), 0.5);
+}
+
+TEST(CliDeathTest, MalformedIntegerExitsNamingTheFlag) {
+  EXPECT_EXIT(make({"prog", "--seed=1x"}).get_int("seed", 1),
+              ::testing::ExitedWithCode(2), "--seed must be an integer");
+  EXPECT_EXIT(make({"prog", "--flows=abc"}).get_int("flows", 1),
+              ::testing::ExitedWithCode(2), "--flows .*'abc'");
+  EXPECT_EXIT(make({"prog", "--n=2.5"}).get_int("n", 1),
+              ::testing::ExitedWithCode(2), "--n must be an integer");
+  EXPECT_EXIT(make({"prog", "--n=99999999999999999999"}).get_int("n", 1),
+              ::testing::ExitedWithCode(2), "--n must be an integer");
+  EXPECT_EXIT(make({"prog", "--n= 7"}).get_int("n", 1),
+              ::testing::ExitedWithCode(2), "--n must be an integer");
+}
+
+TEST(CliDeathTest, MalformedDoubleExitsNamingTheFlag) {
+  EXPECT_EXIT(make({"prog", "--tolerance=0.2.5"}).get_double("tolerance", 0),
+              ::testing::ExitedWithCode(2), "--tolerance must be a number");
+  EXPECT_EXIT(make({"prog", "--rate=fast"}).get_double("rate", 0),
+              ::testing::ExitedWithCode(2), "--rate .*'fast'");
+  EXPECT_EXIT(make({"prog", "--rate=inf"}).get_double("rate", 0),
+              ::testing::ExitedWithCode(2), "--rate must be a number");
+}
+
 }  // namespace
 }  // namespace lvrm
