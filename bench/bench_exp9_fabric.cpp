@@ -152,7 +152,6 @@ int main(int argc, char** argv) {
     FabricTrialOptions opt;
     opt.shards = topo.shards;
     opt.vris = topo.vris;
-    opt.fabric = true;
     opt.seed = args.seed;
     opt.warmup = args.scaled(msec(2));
     opt.measure = args.scaled(msec(5));
@@ -214,7 +213,6 @@ int main(int argc, char** argv) {
       FabricTrialOptions opt;
       opt.shards = 2;
       opt.vris = 4;
-      opt.fabric = true;
       opt.stealing = stealing;
       opt.workload = workload;
       opt.seed = args.seed;

@@ -1202,7 +1202,6 @@ int main(int argc, char** argv) {
     lvrm::exp::FabricTrialOptions fopt;
     fopt.shards = shards;
     fopt.vris = vris;
-    fopt.fabric = true;
     fopt.warmup = msec(2);
     fopt.measure = msec(5);
     return lvrm::exp::run_fabric_trial(fopt);
@@ -1229,7 +1228,6 @@ int main(int argc, char** argv) {
   lvrm::exp::FabricTrialOptions steal_opt;
   steal_opt.shards = 2;
   steal_opt.vris = 4;
-  steal_opt.fabric = true;
   steal_opt.stealing = true;
   steal_opt.workload = lvrm::exp::FabricTrialOptions::Workload::kSkewFrame;
   steal_opt.warmup = msec(5);

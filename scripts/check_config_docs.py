@@ -14,11 +14,13 @@ configs) are satisfied by any documented `member.*` knob.
 It also fails on stale rows: every backticked name in the table's first
 column (cells split on `/`) must be an `LvrmConfig` field, a nested field
 in dotted or bare form, or a member of one of the obs:: configs (parsed
-from `src/obs/*.hpp`).
+from `src/obs/*.hpp`). The same rule holds for the gating notes of
+docs/METRICS.md ("registered **only when `X`**"): `X` must name a field, so
+a metric's note cannot outlive the knob that gated it.
 
 Usage: check_config_docs.py [ROOT]
-Prints every undocumented field and every stale name, and exits non-zero
-if any were found.
+Prints every undocumented field, every stale name and every stale gate, and
+exits non-zero if any were found.
 """
 import pathlib
 import re
@@ -35,6 +37,8 @@ FIELD = re.compile(
     re.MULTILINE,
 )
 TABLE_HEADING = "### Configuration reference (`LvrmConfig`)"
+# "**only when `X`**" — the note may wrap across lines.
+GATE = re.compile(r"\*\*only\s+when\s+`([^`]+)`")
 
 
 def struct_bodies(text):
@@ -109,6 +113,9 @@ def main():
         elif name not in documented:
             missing.append(name)
     stale = [n for n in table_names(readme_text) if n.strip() not in known]
+    metrics = root / "docs" / "METRICS.md"
+    gates = GATE.findall(metrics.read_text(encoding="utf-8"))
+    stale_gates = sorted({g for g in gates if g.strip() not in known})
 
     if missing:
         print(f"{readme}: LvrmConfig fields missing from the configuration "
@@ -120,10 +127,16 @@ def main():
               f"not LvrmConfig fields (remove or rename the row):")
         for name in stale:
             print(f"  {name}")
-    if missing or stale:
+    if stale_gates:
+        print(f"{metrics}: gating notes name things that are not LvrmConfig "
+              f"fields (update the note to the knob that gates the metric):")
+        for name in stale_gates:
+            print(f"  {name}")
+    if missing or stale or stale_gates:
         return 1
     print(f"check_config_docs: every LvrmConfig field of {header.name} is "
-          f"documented in {readme.name}, and every row names a field")
+          f"documented in {readme.name}, and every row and gating note "
+          f"names a field")
     return 0
 
 

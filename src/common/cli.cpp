@@ -85,7 +85,8 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
   if (v->empty() || *v == "true" || *v == "1" || *v == "yes") return true;
-  return false;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  reject(name, *v, "true/1/yes or false/0/no");
 }
 
 }  // namespace lvrm

@@ -29,6 +29,9 @@ class Cli {
   /// exits with status 2. A missing or empty value returns `fallback`.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
+  /// A bare flag or "true"/"1"/"yes" reads as true, "false"/"0"/"no" as
+  /// false, and any other value (`--csv=on`) exits with status 2 like the
+  /// numeric getters. A missing flag returns `fallback`.
   bool get_bool(const std::string& name, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -572,7 +572,6 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
                         : BalancerGranularity::kFlow;
   cfg.dispatch_shards = opt.shards;
   cfg.batched_hot_path = opt.batched;
-  cfg.mpmc_fabric = opt.fabric;
   cfg.work_stealing = opt.stealing;
   cfg.state_replication.enabled = opt.workload == Workload::kElephant;
   cfg.seed = opt.seed;

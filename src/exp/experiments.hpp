@@ -315,8 +315,7 @@ ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt);
 struct FabricTrialOptions {
   int shards = 4;         // LvrmConfig::dispatch_shards
   int vris = 8;           // initial VRIs of the single C++ VR
-  bool fabric = true;     // LvrmConfig::mpmc_fabric
-  bool stealing = false;  // LvrmConfig::work_stealing (needs fabric)
+  bool stealing = false;  // LvrmConfig::work_stealing
   bool batched = true;
   /// Workload shape. kPinned replays `flows` pinned 5-tuples — per-flow
   /// ordering must stay exact, steals must refuse every pinned head.

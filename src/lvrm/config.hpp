@@ -39,10 +39,6 @@ struct HealthConfig {
 
   /// Consecutive strikes before a fail-slow verdict (rides out transients).
   int fail_slow_grace = 3;
-
-  /// Rescue frames stranded in a dead/hung VRI's incoming data queue and
-  /// re-dispatch them across the surviving VRIs instead of dropping them.
-  bool redispatch_stranded = true;
 };
 
 /// Overload-resilience ladder (DESIGN.md §13): a per-VR backpressure
@@ -81,15 +77,6 @@ struct OverloadConfig {
   /// Consecutive escalations before RX-side admission control (level 2)
   /// engages — sustained pressure, not one bursty window.
   int admission_after = 2;
-
-  /// Drain (migrate live flows to siblings, keep router state warm)
-  /// instead of dropping queued frames when the allocator destroys a VRI
-  /// or the health layer quarantines a fail-slow one.
-  bool drain_on_destroy = true;
-
-  /// Salt decorrelating the sampling subset hash from the RSS shard hash
-  /// and the flow-table hash (all three key on the same 5-tuple).
-  std::uint64_t subset_salt = 0x9e3779b97f4a7c15ull;
 };
 
 /// State-compute replication (DESIGN.md §16): lets a single hot flow of a
@@ -181,46 +168,18 @@ struct LvrmConfig {
   /// experiment is calibrated against (bit-identical results).
   bool batched_hot_path = false;
 
-  /// MPMC virtual-link IPC fabric (DESIGN.md §17): collapses the
-  /// O(shards × VRIs) SPSC mesh into one multi-producer ingress link per
-  /// VRI and one multi-consumer TX drain per home shard
-  /// (`queue/mpmc_link.hpp`). Off by default: the SPSC mesh is the
-  /// calibrated reference and results are byte-identical off-vs-on with
-  /// `work_stealing` off (same rollout discipline as `batched_hot_path`).
-  bool mpmc_fabric = false;
-
-  /// Work stealing over the MPMC fabric (DESIGN.md §17, requires
-  /// `mpmc_fabric`): an idle shard steals TX bursts from another shard's
-  /// home drain, and an idle VRI steals ingress frames from an overloaded
-  /// same-VR sibling — only unpinned (frame-granularity or sprayed)
-  /// frames, so flow pinning and the §16 sequencer keep external order
-  /// exact. Off by default; no hook is installed and outputs are
-  /// byte-identical with it off.
+  /// Work stealing over the MPMC IPC fabric (DESIGN.md §17): an idle shard
+  /// steals TX bursts from another shard's home drain, and an idle VRI
+  /// steals ingress frames from an overloaded same-VR sibling — only
+  /// unpinned (frame-granularity or sprayed) frames, so flow pinning and
+  /// the §16 sequencer keep external order exact. Off by default; no hook
+  /// is installed and outputs are byte-identical with it off.
   bool work_stealing = false;
 
   /// Minimum victim backlog (queued frames) before an idle VRI steals from
   /// a sibling — stealing the last few frames of a near-empty queue costs
   /// more coherence traffic than it saves.
   std::size_t steal_min_backlog = 8;
-
-  /// Re-poll period of an idle thief while same-VR siblings still hold
-  /// backlog. The timer dies as soon as the VR goes idle, so a quiescing
-  /// simulation still terminates.
-  Nanos steal_poll_period = usec(5);
-
-  /// Million-flow connection tracking (DESIGN.md §14): every per-shard
-  /// Dispatcher swaps the linear-probing FlowTable for FlowTableV2 —
-  /// cache-line-bucketed tags, incremental (pause-free) resize, idle-expiry
-  /// GC wheel, O(flows-on-VRI) eviction. Off by default: the classic table
-  /// is the calibrated reference and results are byte-identical off-vs-on
-  /// (same rollout discipline as `batched_hot_path`).
-  bool flow_table_v2 = false;
-
-  /// Initial per-Dispatcher flow-table capacity hint, in entries. The
-  /// default matches the classic table's historical footprint; a gateway
-  /// expected to front millions of concurrent flows should start near its
-  /// steady state so the ramp-up skips the early resize ladder.
-  std::size_t flow_table_capacity = 4096;
 
   /// Seed for the random balancer, allocation-jitter and kernel-migration
   /// draws; everything is deterministic given the seed.

@@ -62,38 +62,17 @@ std::unique_ptr<LoadBalancer> make_balancer(BalancerKind kind,
 
 // --- Dispatcher (Fig 3.3 "balance") -------------------------------------------------
 
+namespace {
+/// Initial flow-table capacity hint, in entries (paper scale: thousands of
+/// flows per dispatcher).
+constexpr std::size_t kFlowCapacity = 4096;
+}  // namespace
+
 Dispatcher::Dispatcher(std::unique_ptr<LoadBalancer> inner,
-                       BalancerGranularity gran, Nanos flow_idle_timeout,
-                       bool flow_table_v2, std::size_t flow_capacity)
-    // With v2 selected the classic table stays constructed (the accessor
-    // contract) but at its floor size — it tracks nothing.
+                       BalancerGranularity gran, Nanos flow_idle_timeout)
     : inner_(std::move(inner)),
       granularity_(gran),
-      flows_(flow_table_v2 ? 16 : flow_capacity, flow_idle_timeout) {
-  if (flow_table_v2) {
-    flows_v2_ = std::make_unique<net::FlowTableV2>(flow_capacity,
-                                                   flow_idle_timeout);
-  }
-}
-
-std::optional<int> Dispatcher::flow_lookup(const net::FiveTuple& t,
-                                           Nanos now) {
-  if (!flows_v2_) return flows_.lookup(t, now);
-  // Bounded background work rides the probe: the GC wheel expires what the
-  // elapsed wheel slots hold, and an in-flight resize migrates a bucket.
-  flows_v2_->gc_tick(now);
-  const auto r = flows_v2_->lookup(t, now);
-  if (probe_hist_.valid()) probe_hist_.record(flows_v2_->last_probe_len());
-  return r;
-}
-
-void Dispatcher::flow_insert(const net::FiveTuple& t, int vri, Nanos now) {
-  if (flows_v2_) {
-    flows_v2_->insert(t, vri, now);
-  } else {
-    flows_.insert(t, vri, now);
-  }
-}
+      flows_(kFlowCapacity, flow_idle_timeout) {}
 
 std::span<const VriView> Dispatcher::healthy_pool(
     std::span<const VriView> vris) {
@@ -132,7 +111,7 @@ int Dispatcher::dispatch(const net::FrameMeta& frame,
   if (granularity_ == BalancerGranularity::kFlow) {
     const auto tuple = net::FiveTuple::from_frame(frame);
     ++flow_probes_;
-    if (const auto pinned = flow_lookup(tuple, now)) {
+    if (const auto pinned = flows_.lookup(tuple, now)) {
       // "if the entry is found and the VRI of the entry is valid". The pin
       // is validated against the FULL active set, not the healthy pool: a
       // suspect VRI only loses NEW flows — diverting a pinned flow while
@@ -151,7 +130,7 @@ int Dispatcher::dispatch(const net::FrameMeta& frame,
           << "stale flow pin vri=" << *pinned << ", re-balancing";
     }
     const int chosen = inner_->pick(healthy_pool(vris));
-    flow_insert(tuple, chosen, now);  // "VRI of added entry <- ..."
+    flows_.insert(tuple, chosen, now);  // "VRI of added entry <- ..."
     return chosen;
   }
   return inner_->pick(healthy_pool(vris));
@@ -207,7 +186,7 @@ Nanos Dispatcher::dispatch_batch(std::span<net::FrameMeta* const> frames,
     cost += costs::kFlowTableLookup + costs::kFlowTimestampSyscall;
     ++flow_probes_;
     int chosen = -1;
-    if (const auto pinned = flow_lookup(tuple, now)) {
+    if (const auto pinned = flows_.lookup(tuple, now)) {
       // Full set, not the healthy pool: see dispatch() — suspect VRIs keep
       // their pinned flows to preserve per-flow FIFO order.
       for (const VriView& v : vris) {
@@ -221,7 +200,7 @@ Nanos Dispatcher::dispatch_batch(std::span<net::FrameMeta* const> frames,
     }
     if (chosen < 0) {
       chosen = inner_->pick(healthy_pool(vris));
-      flow_insert(tuple, chosen, now);
+      flows_.insert(tuple, chosen, now);
       cost += inner_->decision_cost(vris.size());
     }
     for (std::size_t k = i; k < j; ++k)
@@ -244,9 +223,7 @@ Nanos Dispatcher::decision_cost(std::size_t n_vris, bool flow_hit) const {
 
 std::size_t Dispatcher::on_vri_destroyed(int vri) {
   LVRM_CLOG(kDispatch, kDebug) << "evicting pinned flows of vri=" << vri;
-  // V2 walks the per-VRI intrusive list — O(flows on that VRI), which is
-  // what keeps the §13 drain path flat as the table grows to millions.
-  return flows_v2_ ? flows_v2_->evict_vri(vri) : flows_.evict_vri(vri);
+  return flows_.evict_vri(vri);
 }
 
 }  // namespace lvrm

@@ -23,6 +23,15 @@ using sim::CostCategory;
 /// spell the nested name next to locals called `vr`.
 constexpr std::int32_t kPolicyDropIf = vr::StatefulVrBase::kPolicyDrop;
 
+/// Salt decorrelating the §13 sampling-subset hash from the RSS shard hash
+/// and the flow-table hash (all three key on the same 5-tuple).
+constexpr std::uint64_t kSubsetSalt = 0x9e3779b97f4a7c15ull;
+
+/// Re-poll period of an idle §17 thief while stealable backlog exists. The
+/// timer dies as soon as the backlog drains, so a quiescing simulation
+/// still terminates.
+constexpr Nanos kStealPollPeriod = usec(5);
+
 // --- internal structures --------------------------------------------------------
 
 /// VRI adapter + LVRM adapter + the VRI process itself: queues, estimator,
@@ -70,8 +79,9 @@ struct LvrmSystem::VriSlot {
   bool suspect = false;         // inside the fail-slow grace window
   bool needs_rebuild = false;   // next activation forks a fresh process
 
-  queue::SegmentId shm_ids[4] = {queue::kInvalidSegment, queue::kInvalidSegment,
-                                 queue::kInvalidSegment, queue::kInvalidSegment};
+  // Ingress link, ctrl-in, ctrl-out (create_slot_segments).
+  queue::SegmentId shm_ids[3] = {queue::kInvalidSegment, queue::kInvalidSegment,
+                                 queue::kInvalidSegment};
   sim::EventId migration_event = sim::kInvalidEvent;
 
   // §17 work stealing. Input indices let thieves repair the right hint on
@@ -223,9 +233,6 @@ struct LvrmSystem::ObsHooks {
   // `overload_control.enabled`, keeping ladder-off exports byte-identical).
   obs::Counter sampled_shed;
   obs::Counter admission_rejected;
-  // Flow-table probe length in buckets touched (registered only when
-  // `flow_table_v2` is on — the classic-table export stays byte-identical).
-  obs::LogHistogram flow_probe_len;
   // §16 replication counters (registered only when
   // `state_replication.enabled` — defaults-off exports stay byte-identical).
   obs::Counter sprayed_frames;
@@ -236,7 +243,7 @@ struct LvrmSystem::ObsHooks {
   obs::Counter seq_gap_skips;
   obs::Counter seq_window_overflow;
   // §17 work-stealing counters (registered only when `work_stealing` is on
-  // over the fabric — defaults-off exports stay byte-identical).
+  // — defaults-off exports stay byte-identical).
   obs::Counter tx_steals;
   obs::Counter tx_steal_frames;
   obs::Counter vri_steals;
@@ -249,10 +256,6 @@ struct LvrmSystem::ObsHooks {
 LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
                        LvrmConfig config)
     : sim_(sim), topo_(topo), config_(config), rng_(config.seed) {
-  // §17: stealing is defined over the fabric's MPMC links; without the
-  // fabric the gate is inert (documented in README's config table).
-  fabric_ = config_.mpmc_fabric;
-  stealing_ = fabric_ && config_.work_stealing;
   for (sim::CoreId c = 0; c < topo_.total_cores(); ++c)
     cores_.push_back(
         std::make_unique<sim::Core>(sim_, c, costs::kContextSwitch));
@@ -306,9 +309,6 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
       obs_->sampled_shed = m.counter("lvrm_sampled_shed_total");
       obs_->admission_rejected = m.counter("lvrm_admission_rejected_total");
     }
-    if (config_.flow_table_v2) {
-      obs_->flow_probe_len = m.histogram("lvrm_flowtable_probe_len");
-    }
     if (config_.state_replication.enabled) {
       obs_->sprayed_frames = m.counter("lvrm_sprayed_frames_total");
       obs_->spray_activations = m.counter("lvrm_spray_activations_total");
@@ -318,7 +318,7 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
       obs_->seq_gap_skips = m.counter("lvrm_seq_gap_skips_total");
       obs_->seq_window_overflow = m.counter("lvrm_seq_window_overflow_total");
     }
-    if (stealing_) {
+    if (config_.work_stealing) {
       // §17 steal counters exist only with work stealing on, so a
       // stealing-off export stays byte-identical to earlier builds.
       obs_->tx_steals = m.counter("lvrm_tx_steals_total");
@@ -356,67 +356,63 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
             : FrameServer::BatchCostFn{});
   }
 
-  // §17 MPMC fabric: TX collapses from one drain ring per (shard, VRI) pair
-  // to ONE per-home-shard MPMC link all of that shard's slots feed. In the
-  // simulation the per-slot BoundedQueues persist as the link's per-producer
-  // claimed segments (each producer's burst occupies a contiguous claimed
-  // sub-region, so per-producer FIFO sub-queues model the link exactly);
-  // only the arena topology and the stealing capability change, which keeps
-  // fabric-on byte-identical to fabric-off while work_stealing is off.
-  if (fabric_) {
-    for (DispatchShard& shard : shards_) {
-      shard.tx_link_shm = arena_.create(config_.data_queue_capacity *
-                                        sizeof(net::FrameMeta));
-      if (!stealing_) continue;
-      DispatchShard* sh = &shard;
-      const std::string suffix =
-          shard.id == 0 ? "" : "/s" + std::to_string(shard.id);
-      // Staging queue for bursts stolen off other shards' TX links: frames
-      // enter by move from the victim's drain and leave through the same
-      // finish_tx path, so conservation holds (tested in test_system_fabric).
-      shard.tx_steal_q = std::make_unique<FrameQueue>(
-          config_.data_queue_capacity, "tx-steal" + suffix);
-      shard.tx_steal_input = shard.server->add_input(
-          *shard.tx_steal_q, /*priority=*/1,
-          [this, sh](net::FrameMeta& f) {
-            Nanos cost = costs::kDequeueCost + sh->adapter->send_cost(f);
-            Nanos user_part = costs::kDequeueCost;
-            // The producer is the victim VRI's core, not a dispatcher's.
-            const VriSlot* victim = steal_victim_slot(f);
-            if (victim && cross_socket(victim->core_id, sh->core_id)) {
-              cost += costs::kCrossSocketQueueOp;
-              user_part += costs::kCrossSocketQueueOp;
-            }
-            if (sh->adapter->send_category() != CostCategory::kUser)
-              core(sh->core_id)
-                  .reclassify(sh->adapter->send_category(),
-                              CostCategory::kUser, user_part);
-            return cost;
-          },
-          [this, sh](net::FrameMeta&& f) {
-            f.gw_out_at = sim_.now();
-            VriSlot* victim = steal_victim_slot(f);
-            VrState* v = victim ? vrs_[static_cast<std::size_t>(victim->vr_id)]
-                                      .get()
-                                : nullptr;
-            if (victim && victim->steal_inflight > 0 &&
-                --victim->steal_inflight == 0) {
-              // Last stolen frame egressed: reopen the victim's own drain
-              // (the gate held it closed so nothing could overtake).
-              shards_[static_cast<std::size_t>(victim->home_shard)]
-                  .server->kick(victim->data_out_input);
-            }
-            if (!v) return;  // victim VR gone (cannot happen today)
-            if (replication_ && f.sprayed) {
-              sequence_tx(*v, std::move(f));
-              return;
-            }
-            finish_tx(*v, std::move(f));
-          },
-          shard.adapter->send_category(), config_.poll_batch,
-          /*coalesce=*/config_.batched_hot_path);
-      shard.server->set_idle_hook([this, sh] { return try_tx_steal(*sh); });
-    }
+  // §17 MPMC fabric: TX is ONE per-home-shard MPMC link all of that shard's
+  // slots feed. In the simulation the per-slot BoundedQueues are the link's
+  // per-producer claimed segments (each producer's burst occupies a
+  // contiguous claimed sub-region, so per-producer FIFO sub-queues model the
+  // link exactly).
+  for (DispatchShard& shard : shards_) {
+    shard.tx_link_shm =
+        arena_.create(config_.data_queue_capacity * sizeof(net::FrameMeta));
+    if (!config_.work_stealing) continue;
+    DispatchShard* sh = &shard;
+    const std::string suffix =
+        shard.id == 0 ? "" : "/s" + std::to_string(shard.id);
+    // Staging queue for bursts stolen off other shards' TX links: frames
+    // enter by move from the victim's drain and leave through the same
+    // finish_tx path, so conservation holds (tested in test_system_fabric).
+    shard.tx_steal_q = std::make_unique<FrameQueue>(
+        config_.data_queue_capacity, "tx-steal" + suffix);
+    shard.tx_steal_input = shard.server->add_input(
+        *shard.tx_steal_q, /*priority=*/1,
+        [this, sh](net::FrameMeta& f) {
+          Nanos cost = costs::kDequeueCost + sh->adapter->send_cost(f);
+          Nanos user_part = costs::kDequeueCost;
+          // The producer is the victim VRI's core, not a dispatcher's.
+          const VriSlot* victim = steal_victim_slot(f);
+          if (victim && cross_socket(victim->core_id, sh->core_id)) {
+            cost += costs::kCrossSocketQueueOp;
+            user_part += costs::kCrossSocketQueueOp;
+          }
+          if (sh->adapter->send_category() != CostCategory::kUser)
+            core(sh->core_id)
+                .reclassify(sh->adapter->send_category(),
+                            CostCategory::kUser, user_part);
+          return cost;
+        },
+        [this, sh](net::FrameMeta&& f) {
+          f.gw_out_at = sim_.now();
+          VriSlot* victim = steal_victim_slot(f);
+          VrState* v = victim ? vrs_[static_cast<std::size_t>(victim->vr_id)]
+                                    .get()
+                              : nullptr;
+          if (victim && victim->steal_inflight > 0 &&
+              --victim->steal_inflight == 0) {
+            // Last stolen frame egressed: reopen the victim's own drain
+            // (the gate held it closed so nothing could overtake).
+            shards_[static_cast<std::size_t>(victim->home_shard)]
+                .server->kick(victim->data_out_input);
+          }
+          if (!v) return;  // victim VR gone (cannot happen today)
+          if (replication_ && f.sprayed) {
+            sequence_tx(*v, std::move(f));
+            return;
+          }
+          finish_tx(*v, std::move(f));
+        },
+        shard.adapter->send_category(), config_.poll_batch,
+        /*coalesce=*/config_.batched_hot_path);
+    shard.server->set_idle_hook([this, sh] { return try_tx_steal(*sh); });
   }
 }
 
@@ -445,30 +441,26 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
         make_balancer(config_.balancer,
                       config_.seed + 17 * static_cast<std::uint64_t>(vr->id) +
                           7919 * static_cast<std::uint64_t>(s)),
-        config_.granularity, sec(30), config_.flow_table_v2,
-        config_.flow_table_capacity));
+        config_.granularity));
     // Healthy-pool generation cache: the system owns the candidate set, so
     // it seeds a non-zero generation and bumps it on every health change.
     vr->dispatchers.back()->set_pool_generation(vr->pool_generation);
-    if (config_.flow_table_v2 && telemetry_) {
-      Dispatcher* d = vr->dispatchers.back().get();
-      d->set_probe_histogram(obs_->flow_probe_len);
-      // flowtable_resize audit events: one per classic rehash, one per v2
-      // migration start/finish — never per migration step, so a 16M-entry
-      // resize cannot flood the bounded trail.
+    if (telemetry_) {
+      // flowtable_resize audit events: one per stop-the-world rehash.
       const int vr_id = vr->id;
-      d->set_flow_resize_hook([this, vr_id, s](const net::FlowResizeEvent& ev) {
-        obs::AuditEvent e;
-        e.time = e.until = sim_.now();
-        e.kind = obs::AuditKind::kFlowTableResize;
-        e.vr = static_cast<std::int16_t>(vr_id);
-        e.shard = static_cast<std::int16_t>(s);
-        e.cause = static_cast<std::uint8_t>(ev.cause);
-        e.a = ev.buckets_before;
-        e.b = ev.buckets_after;
-        e.c = ev.migrated;
-        telemetry_->audit().record(e);
-      });
+      vr->dispatchers.back()->set_flow_resize_hook(
+          [this, vr_id, s](const net::FlowResizeEvent& ev) {
+            obs::AuditEvent e;
+            e.time = e.until = sim_.now();
+            e.kind = obs::AuditKind::kFlowTableResize;
+            e.vr = static_cast<std::int16_t>(vr_id);
+            e.shard = static_cast<std::int16_t>(s);
+            e.cause = static_cast<std::uint8_t>(ev.cause);
+            e.a = ev.buckets_before;
+            e.b = ev.buckets_after;
+            e.c = ev.migrated;
+            telemetry_->audit().record(e);
+          });
     }
   }
 
@@ -493,25 +485,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
                                               base + "/ctrl-in");
     s->ctrl_out = std::make_unique<FrameQueue>(config_.control_queue_capacity,
                                                base + "/ctrl-out");
-    // One shared-memory segment per queue, as in Sec 3.8: the identifiers
-    // are what a forked VRI would receive via its main() arguments.
-    if (fabric_) {
-      // §17 fabric layout: one MPMC ingress link every shard feeds
-      // (shm_ids[0]), two control rings sized to the control capacity
-      // instead of the data capacity, and NO per-slot TX segment: egress
-      // rides the home shard's shared tx_link_shm.
-      s->shm_ids[0] = arena_.create(config_.data_queue_capacity *
-                                    sizeof(net::FrameMeta));
-      s->shm_ids[1] = arena_.create(config_.control_queue_capacity *
-                                    sizeof(net::FrameMeta));
-      s->shm_ids[2] = arena_.create(config_.control_queue_capacity *
-                                    sizeof(net::FrameMeta));
-      s->shm_ids[3] = queue::kInvalidSegment;
-    } else {
-      for (int q = 0; q < 4; ++q)
-        s->shm_ids[q] = arena_.create(config_.data_queue_capacity *
-                                      sizeof(net::FrameMeta));
-    }
+    create_slot_segments(*s);
 
     // The factory honors kind + click_script/click_use_graph and wraps the
     // stateful kinds (NAT / firewall / rate limit) around their configured
@@ -684,7 +658,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
         // per-item cost fn above is summed over the drained frames.
         /*coalesce=*/config_.batched_hot_path);
 
-    if (stealing_) {
+    if (config_.work_stealing) {
       // §17: while a TX-steal is in flight the victim's own drain is held
       // closed, so the stolen (older) burst cannot be overtaken by newer
       // frames from the same slot — TX order per slot stays exact. The gate
@@ -1019,8 +993,8 @@ bool LvrmSystem::in_subset(const net::FrameMeta& f, double rate) const {
   // and RSS steering key on, salted so the subset is independent of both.
   // Halving the rate always keeps a subset of the previous survivors, so
   // escalation never re-admits a flow it already shed.
-  const std::uint64_t h = net::hash_tuple(net::FiveTuple::from_frame(f)) ^
-                          config_.overload_control.subset_salt;
+  const std::uint64_t h =
+      net::hash_tuple(net::FiveTuple::from_frame(f)) ^ kSubsetSalt;
   return static_cast<double>(h >> 32) < rate * 4294967296.0;
 }
 
@@ -1599,7 +1573,7 @@ bool LvrmSystem::spray_is_active(const VrState& vr,
 }
 
 bool LvrmSystem::try_tx_steal(DispatchShard& thief) {
-  if (!stealing_ || !thief.tx_steal_q) return false;
+  if (!config_.work_stealing || !thief.tx_steal_q) return false;
   // One victim burst at a time: the staging queue must fully egress (and
   // reopen the victim's gate) before the next steal, or bursts from two
   // victims would interleave in one FIFO.
@@ -1646,7 +1620,7 @@ bool LvrmSystem::try_tx_steal(DispatchShard& thief) {
 }
 
 void LvrmSystem::maybe_poke_tx_thieves(VriSlot& s) {
-  if (!stealing_) return;
+  if (!config_.work_stealing) return;
   // Exactly at the threshold crossing: one poke per backlog build-up, not
   // one per egress frame. Busy thieves find steals through their own idle
   // transitions; this only wakes shards with nothing else to run.
@@ -1673,16 +1647,16 @@ void LvrmSystem::arm_tx_steal_timer(DispatchShard& thief) {
   if (!backlog) return;
   thief.tx_steal_timer_armed = true;
   DispatchShard* t = &thief;
-  sim_.after(config_.steal_poll_period, [this, t] {
+  sim_.after(kStealPollPeriod, [this, t] {
     t->tx_steal_timer_armed = false;
-    if (!stealing_ || t->server->busy()) return;
+    if (!config_.work_stealing || t->server->busy()) return;
     // Re-run the idle scan (which re-arms this timer while backlog holds).
     t->server->maybe_serve();
   });
 }
 
 bool LvrmSystem::try_vri_steal(VrState& vr, VriSlot& thief) {
-  if (!stealing_) return false;
+  if (!config_.work_stealing) return false;
   if (!thief.active || thief.crashed || thief.draining || thief.hung)
     return false;
   for (const int idx : vr.active_order) {
@@ -1744,9 +1718,11 @@ void LvrmSystem::arm_steal_timer(VrState& vr, VriSlot& thief) {
   thief.steal_timer_armed = true;
   VrState* v = &vr;
   VriSlot* t = &thief;
-  sim_.after(config_.steal_poll_period, [this, v, t] {
+  sim_.after(kStealPollPeriod, [this, v, t] {
     t->steal_timer_armed = false;
-    if (!stealing_ || !t->active || t->crashed || t->server->busy()) return;
+    if (!config_.work_stealing || !t->active || t->crashed ||
+        t->server->busy())
+      return;
     // Re-run the idle scan (which re-arms this timer while backlog holds).
     t->server->maybe_serve();
   });
@@ -1804,9 +1780,9 @@ std::size_t LvrmSystem::fabric_ring_count() const {
 }
 
 std::size_t LvrmSystem::mesh_ring_bytes() const {
-  // Mesh data rings carry full FrameMeta records, control rings are sized
-  // like the mesh arena sizes them today (data capacity); RX rings are
-  // identical under both topologies and excluded from both sides.
+  // Mesh data rings carry full FrameMeta records, and the mesh sized its
+  // control rings at the data capacity too; RX rings are identical under
+  // both topologies and excluded from both sides.
   const std::size_t S = shards_.size();
   std::size_t slots = 0;
   for (const auto& vr : vrs_) slots += vr->slots.size();
@@ -2046,7 +2022,7 @@ void LvrmSystem::reap_crashed() {
                           vr.id, slot.index);
       // waitpid()-style reaping: free the core, rescue (health layer) or
       // discard the dead process' queued frames, drop its flow pins.
-      if (health_ && config_.health.redispatch_stranded) {
+      if (health_) {
         while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
       } else {
         vr.data_drops += drain_and_drop(*slot.data_in,
@@ -2249,7 +2225,6 @@ void LvrmSystem::recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
   ev.stranded = slot.data_in->size();
 
   if (reason == VriHealth::kFailSlow && config_.overload_control.enabled &&
-      config_.overload_control.drain_on_destroy &&
       vr.active_order.size() > 1) {
     // Reset-free quarantine (DESIGN.md §13): a fail-slow process is alive —
     // it can be stopped cleanly and its backlog migrated over the normal
@@ -2310,11 +2285,7 @@ void LvrmSystem::recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
   // Rescue the frames stranded in the dead incarnation's incoming queue
   // before its segments are torn down.
   std::vector<net::FrameMeta> stranded;
-  if (config_.health.redispatch_stranded) {
-    while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
-  } else {
-    vr.data_drops += drain_and_drop(*slot.data_in, DropCause::kVriDestroyed);
-  }
+  while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
   discard_stale_control(slot);
 
   slot.active = false;
@@ -2440,12 +2411,21 @@ void LvrmSystem::rebuild_router(VrState& vr, VriSlot& slot) {
   for (const route::RouteUpdate& u : vr.route_log)
     slot.router->apply_route_update(u);
   // Fresh shared-memory segments for the new process' queues (Sec 3.8).
-  for (int q = 0; q < 4; ++q) {
-    arena_.destroy(slot.shm_ids[q]);
-    slot.shm_ids[q] =
-        arena_.create(config_.data_queue_capacity * sizeof(net::FrameMeta));
-  }
+  for (const queue::SegmentId id : slot.shm_ids) arena_.destroy(id);
+  create_slot_segments(slot);
   slot.needs_rebuild = false;
+}
+
+void LvrmSystem::create_slot_segments(VriSlot& slot) {
+  // One segment per queue, as in Sec 3.8: the identifiers are what a forked
+  // VRI would receive via its main() arguments. The ingress link is fed by
+  // every shard; there is no per-slot TX segment.
+  const std::size_t data = config_.data_queue_capacity * sizeof(net::FrameMeta);
+  const std::size_t ctrl =
+      config_.control_queue_capacity * sizeof(net::FrameMeta);
+  slot.shm_ids[0] = arena_.create(data);
+  slot.shm_ids[1] = arena_.create(ctrl);
+  slot.shm_ids[2] = arena_.create(ctrl);
 }
 
 void LvrmSystem::deactivate_vri(VrState& vr) {
@@ -2454,7 +2434,6 @@ void LvrmSystem::deactivate_vri(VrState& vr) {
   VriSlot& slot = *vr.slots[static_cast<std::size_t>(idx)];
   if (slot.draining) return;  // quiescing already; retry next pass
   if (config_.overload_control.enabled &&
-      config_.overload_control.drain_on_destroy &&
       vr.active_order.size() > 1) {
     // Reset-free destroy (DESIGN.md §13): the allocator's scale-down stops
     // the VRI but migrates its backlog and flow pins to the survivors —
@@ -2940,26 +2919,20 @@ void LvrmSystem::publish_gauges() {
     m.gauge("lvrm_seq_held_frames")
         .set(static_cast<double>(seq_held_frames()));
   }
-  if (fabric_) {
-    // §17 fabric gauges exist only with the MPMC fabric on (same
-    // byte-identity rule as the replication gauges above). Reclaimed
-    // headroom = what the SPSC mesh would have reserved minus what the
-    // fabric actually reserves — the ShmArena audit the satellite asks for.
-    m.gauge("lvrm_fabric_rings")
-        .set(static_cast<double>(fabric_ring_count()));
-    m.gauge("lvrm_mesh_rings").set(static_cast<double>(mesh_ring_count()));
-    const std::size_t mesh_b = mesh_ring_bytes();
-    const std::size_t fab_b = fabric_ring_bytes();
-    m.gauge("lvrm_fabric_reclaimed_bytes")
-        .set(static_cast<double>(mesh_b > fab_b ? mesh_b - fab_b : 0));
-    if (stealing_) {
-      m.gauge("lvrm_tx_steals").set(static_cast<double>(tx_steals_));
-      m.gauge("lvrm_tx_steal_frames")
-          .set(static_cast<double>(tx_steal_frames_));
-      m.gauge("lvrm_vri_steals").set(static_cast<double>(vri_steals_));
-      m.gauge("lvrm_vri_steal_frames")
-          .set(static_cast<double>(vri_steal_frames_));
-    }
+  // §17 fabric inventory. Reclaimed headroom = what an SPSC mesh would
+  // reserve minus what the fabric arena actually reserves.
+  m.gauge("lvrm_fabric_rings").set(static_cast<double>(fabric_ring_count()));
+  m.gauge("lvrm_mesh_rings").set(static_cast<double>(mesh_ring_count()));
+  const std::size_t mesh_b = mesh_ring_bytes();
+  const std::size_t fab_b = fabric_ring_bytes();
+  m.gauge("lvrm_fabric_reclaimed_bytes")
+      .set(static_cast<double>(mesh_b > fab_b ? mesh_b - fab_b : 0));
+  if (config_.work_stealing) {
+    m.gauge("lvrm_tx_steals").set(static_cast<double>(tx_steals_));
+    m.gauge("lvrm_tx_steal_frames").set(static_cast<double>(tx_steal_frames_));
+    m.gauge("lvrm_vri_steals").set(static_cast<double>(vri_steals_));
+    m.gauge("lvrm_vri_steal_frames")
+        .set(static_cast<double>(vri_steal_frames_));
   }
 
   for (const auto& vrp : vrs_) {
@@ -2986,21 +2959,17 @@ void LvrmSystem::publish_gauges() {
     for (int idx : vr.active_order)
       depth += vr.slots[static_cast<std::size_t>(idx)]->data_in->size();
     m.gauge("lvrm_data_queue_depth", l).set(static_cast<double>(depth));
-    if (config_.flow_table_v2) {
-      // Flow-table gauges exist only with the v2 table on (same
-      // byte-identity rule as the ladder gauges below). Entries and slots
-      // are summed across the VR's per-shard dispatchers.
-      std::size_t entries = 0, slots = 0;
-      for (const auto& d : vr.dispatchers) {
-        entries += d->flow_entries();
-        slots += d->flow_slots();
-      }
-      m.gauge("lvrm_flowtable_entries", l).set(static_cast<double>(entries));
-      m.gauge("lvrm_flowtable_occupancy", l)
-          .set(slots == 0 ? 0.0
-                          : static_cast<double>(entries) /
-                                static_cast<double>(slots));
+    // Entries and slots are summed across the VR's per-shard dispatchers.
+    std::size_t entries = 0, slots = 0;
+    for (const auto& d : vr.dispatchers) {
+      entries += d->flow_entries();
+      slots += d->flow_slots();
     }
+    m.gauge("lvrm_flowtable_entries", l).set(static_cast<double>(entries));
+    m.gauge("lvrm_flowtable_occupancy", l)
+        .set(slots == 0 ? 0.0
+                        : static_cast<double>(entries) /
+                              static_cast<double>(slots));
     if (config_.overload_control.enabled) {
       // Ladder gauges exist only with the ladder on, so defaults-off
       // exports stay byte-identical.

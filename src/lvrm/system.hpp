@@ -164,8 +164,8 @@ class LvrmSystem {
   /// when the slot is not active (or has crashed — a corpse cannot drain).
   bool decommission_vri(int vr, int vri);
 
-  /// Every reset-free drain so far (allocator destroy with
-  /// `overload_control.drain_on_destroy`, fail-slow quarantine, or explicit
+  /// Every reset-free drain so far (allocator destroy or fail-slow
+  /// quarantine with `overload_control.enabled`, or explicit
   /// decommission_vri), in order.
   const std::vector<DrainEvent>& drain_log() const { return drain_log_; }
   /// Flow pins migrated to siblings across all drains.
@@ -297,18 +297,19 @@ class LvrmSystem {
   int shard_of(const net::FrameMeta& frame) const;
 
   // --- MPMC fabric & work stealing (DESIGN.md §17) --------------------------
-  // Ring accounting contrasts the two IPC topologies over the *same* shard
-  // and VRI-slot geometry: the SPSC mesh needs one ring per (shard, VRI)
-  // pair in each data direction, the fabric one MPMC ingress link per VRI
-  // and one MPMC TX drain per home shard. Control rings and RX rings are
-  // common to both. These are the numbers behind the `lvrm_fabric_*`
-  // gauges and `bench_exp9_fabric`.
-  /// Data-plane rings the SPSC mesh allocates for this geometry.
+  // Ring accounting over the shard and VRI-slot geometry: the fabric has one
+  // MPMC ingress link per VRI and one MPMC TX drain per home shard. The
+  // mesh numbers are the counterfactual SPSC mesh (one ring per (shard, VRI)
+  // pair in each data direction) that the fabric replaces. Control rings
+  // and RX rings are common to both. These are the numbers behind the
+  // `lvrm_fabric_*` gauges and `bench_exp9_fabric`.
+  /// Data-plane rings an SPSC mesh would allocate for this geometry.
   std::size_t mesh_ring_count() const;
   /// Data-plane rings the MPMC fabric allocates for this geometry.
   std::size_t fabric_ring_count() const;
   /// Shared-memory bytes those rings pin (headroom), mesh vs fabric. The
-  /// difference is the reclaimed-headroom gauge (satellite of §17).
+  /// fabric side equals what the arena reserves; the difference is the
+  /// reclaimed-headroom gauge.
   std::size_t mesh_ring_bytes() const;
   std::size_t fabric_ring_bytes() const;
   /// Work-stealing counters (all zero unless `work_stealing`): TX bursts an
@@ -430,6 +431,10 @@ class LvrmSystem {
   void recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
                     Nanos stalled_for);
   void rebuild_router(VrState& vr, VriSlot& slot);
+  /// Creates the slot's shared-memory segments (Sec 3.8) in the §17 fabric
+  /// layout: one ingress link at data capacity and two control rings at
+  /// control capacity. Egress rides the home shard's TX link segment.
+  void create_slot_segments(VriSlot& slot);
   void discard_stale_control(VriSlot& slot);
   std::size_t redispatch(VrState& vr, std::vector<net::FrameMeta>& frames);
   // Overload shedding; returns true when the frame was handled (shed).
@@ -509,7 +514,7 @@ class LvrmSystem {
   /// Invalidates every shard dispatcher's cached healthy pool for this VR;
   /// called whenever a slot's health/membership could have changed.
   void bump_pool_generation(VrState& vr);
-  // §17 MPMC fabric & work stealing (no-ops unless `work_stealing`).
+  // §17 work stealing (no-ops unless `work_stealing`).
   /// Idle-shard TX-drain steal: pull a head burst from another shard's
   /// homed slot's drain into this shard's staging queue, gating the victim
   /// until the burst has egressed so same-slot frames cannot overtake.
@@ -614,10 +619,7 @@ class LvrmSystem {
   std::uint32_t next_spray_flow_ = 1;
   Nanos last_spray_gc_ = 0;
 
-  // §17 MPMC fabric & work stealing. `fabric_`/`stealing_` cache the config
-  // gates (stealing requires the fabric) so hot-path checks stay one bool.
-  bool fabric_ = false;
-  bool stealing_ = false;
+  // §17 work stealing.
   std::uint64_t tx_steals_ = 0;
   std::uint64_t tx_steal_frames_ = 0;
   std::uint64_t vri_steals_ = 0;

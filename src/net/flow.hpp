@@ -8,11 +8,11 @@
 // stamps entries with a timestamp on each hit. FlowTable reproduces that:
 // open-addressing, linear probing, per-entry last-seen time, idle expiry.
 //
-// FlowTable is the paper-scale reference (thousands of flows). The
-// million-flow successor, FlowTableV2 (cache-line-bucketed tags, incremental
-// resize, idle-expiry GC wheel — DESIGN.md §14), lives in flow_v2.hpp and is
-// selected per dispatcher by LvrmConfig::flow_table_v2. Both share FiveTuple,
-// hash_tuple and the resize-event vocabulary below.
+// FlowTable is the dispatcher's table (thousands of flows). The million-flow
+// FlowTableV2 (cache-line-bucketed tags, incremental resize, idle-expiry GC
+// wheel — DESIGN.md §14) lives in flow_v2.hpp and serves the firewall's
+// conntrack and Exp 7. Both share FiveTuple, hash_tuple and the
+// resize-event vocabulary below.
 #pragma once
 
 #include <cstdint>

@@ -32,9 +32,8 @@
 //     list per VRI, turning `evict_vri` into an O(flows-on-that-VRI) walk.
 //
 // Observable semantics match FlowTable exactly (same strict-> expiry, same
-// hit/miss accounting, same insert-over-existing update-in-place), which is
-// what lets LvrmConfig::flow_table_v2 guarantee byte-identical experiment
-// outputs off-vs-on while changing the host-side cost class underneath.
+// hit/miss accounting, same insert-over-existing update-in-place), so a
+// caller can move between the two tables without changing its decisions.
 #pragma once
 
 #include <cstdint>

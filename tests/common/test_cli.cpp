@@ -31,11 +31,14 @@ TEST(Cli, BooleanFlags) {
 }
 
 TEST(Cli, ExplicitBooleanValues) {
-  const Cli cli = make({"prog", "--a=true", "--b=false", "--c=1", "--d=0"});
+  const Cli cli = make({"prog", "--a=true", "--b=false", "--c=1", "--d=0",
+                        "--e=yes", "--f=no"});
   EXPECT_TRUE(cli.get_bool("a", false));
   EXPECT_FALSE(cli.get_bool("b", true));
   EXPECT_TRUE(cli.get_bool("c", false));
   EXPECT_FALSE(cli.get_bool("d", true));
+  EXPECT_TRUE(cli.get_bool("e", false));
+  EXPECT_FALSE(cli.get_bool("f", true));
 }
 
 TEST(Cli, Positional) {
@@ -97,6 +100,16 @@ TEST(CliDeathTest, MalformedDoubleExitsNamingTheFlag) {
               ::testing::ExitedWithCode(2), "--rate .*'fast'");
   EXPECT_EXIT(make({"prog", "--rate=inf"}).get_double("rate", 0),
               ::testing::ExitedWithCode(2), "--rate must be a number");
+}
+
+TEST(CliDeathTest, MalformedBooleanExitsNamingTheFlag) {
+  EXPECT_EXIT(make({"prog", "--csv=on"}).get_bool("csv", false),
+              ::testing::ExitedWithCode(2), "--csv .*'on'");
+  EXPECT_EXIT(make({"prog", "--smoke=False"}).get_bool("smoke", false),
+              ::testing::ExitedWithCode(2), "--smoke .*'False'");
+  // "--name value": a positional word after a boolean flag is its value.
+  EXPECT_EXIT(make({"prog", "--quick", "out.json"}).get_bool("quick", false),
+              ::testing::ExitedWithCode(2), "--quick .*'out.json'");
 }
 
 }  // namespace

@@ -214,7 +214,6 @@ TEST(FabricTrial, PinnedWorkloadIsCleanOnFabric) {
   FabricTrialOptions opt;
   opt.shards = 2;
   opt.vris = 4;
-  opt.fabric = true;
   opt.stealing = false;
   opt.flows = 32;
   opt.warmup = msec(5);
@@ -231,7 +230,6 @@ TEST(FabricTrial, SkewedFrameWorkloadStealsUnderStealing) {
   FabricTrialOptions opt;
   opt.shards = 2;
   opt.vris = 4;
-  opt.fabric = true;
   opt.stealing = true;
   opt.workload = FabricTrialOptions::Workload::kSkewFrame;
   opt.flows = 32;
@@ -247,7 +245,6 @@ TEST(FabricTrial, ElephantWorkloadKeepsOrderingUnderStealing) {
   FabricTrialOptions opt;
   opt.shards = 2;
   opt.vris = 4;
-  opt.fabric = true;
   opt.stealing = true;
   opt.workload = FabricTrialOptions::Workload::kElephant;
   opt.flows = 16;

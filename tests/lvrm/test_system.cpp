@@ -234,9 +234,11 @@ TEST(LvrmSystem, ControlEventLatencyGrowsWithSize) {
 
 TEST(LvrmSystem, ShmSegmentsAllocatedPerQueue) {
   Rig rig;
-  // 7 slots x 4 queues for the single default VR.
-  EXPECT_EQ(rig.sys->shm().segment_count(),
-            static_cast<std::size_t>(rig.sys->config().max_vris_per_vr) * 4);
+  // 7 slots x 3 segments (ingress link, two control rings) for the single
+  // default VR, plus the one shard's TX link.
+  const auto slots =
+      static_cast<std::size_t>(rig.sys->config().max_vris_per_vr);
+  EXPECT_EQ(rig.sys->shm().segment_count(), slots * 3 + 1);
 }
 
 TEST(LvrmSystem, ClickVrForwardsThroughGraph) {

@@ -1,9 +1,9 @@
-// §17 MPMC fabric + work stealing: fabric-on is behaviorally identical to
-// fabric-off while stealing stays off (the byte-identity contract), the
-// arena audit shows the collapsed ring count and reclaimed headroom, the two
-// stealing policies move real work without breaking per-flow ordering or
-// leaking pool slots — including through a crash + respawn — and the steal
-// counters / audit events / gauges appear exactly when the gates are on.
+// §17 MPMC fabric + work stealing: the arena audit shows the collapsed ring
+// count and reclaimed headroom, a respawned VRI gets the same fabric
+// segments back, the two stealing policies move real work without breaking
+// per-flow ordering or losing frames — including through a crash + respawn
+// — and the steal counters / audit events / gauges appear exactly when
+// work stealing is on.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -37,9 +37,6 @@ struct FabricRig {
   static constexpr std::uint64_t kFlows = 64;
   std::map<std::uint64_t, std::uint64_t> flow_last_id;
   std::uint64_t ordering_violations = 0;
-  /// Full egress trace (frame ids in completion order) for byte-identity
-  /// comparisons between two rigs.
-  std::vector<std::uint64_t> egress_ids;
   std::deque<std::function<void()>> emitters;
 
   FabricRig(LvrmConfig cfg, int initial_vris, int flows = kFlows,
@@ -52,7 +49,6 @@ struct FabricRig {
     sys->start();
     sys->set_egress([this, flows](net::FrameMeta&& f) {
       ++delivered;
-      egress_ids.push_back(f.id);
       const std::uint64_t flow = f.id % static_cast<std::uint64_t>(flows);
       const auto last = flow_last_id.find(flow);
       if (last != flow_last_id.end() && f.id < last->second)
@@ -62,11 +58,10 @@ struct FabricRig {
     faults = std::make_unique<FaultInjector>(sim, *sys);
   }
 
-  static LvrmConfig cfg(int shards, bool fabric, bool stealing) {
+  static LvrmConfig cfg(int shards, bool stealing) {
     LvrmConfig c;
     c.allocator = AllocatorKind::kFixed;
     c.dispatch_shards = shards;
-    c.mpmc_fabric = fabric;
     c.work_stealing = stealing;
     return c;
   }
@@ -96,55 +91,12 @@ struct FabricRig {
   }
 };
 
-// --- byte-identity: fabric on/off, stealing off ---------------------------
-
-TEST(MpmcFabric, FabricOnIsByteIdenticalToOffAtOneShard) {
-  // The §17 acceptance contract: with work_stealing off, flipping
-  // mpmc_fabric changes ShmArena topology and gauge families but not one
-  // observable frame — the egress trace (ids in completion order) and every
-  // drop bucket match exactly at one shard.
-  FabricRig off(FabricRig::cfg(1, false, false), 2);
-  FabricRig on(FabricRig::cfg(1, true, false), 2);
-  off.offer(200'000.0, msec(300));
-  on.offer(200'000.0, msec(300));
-  off.sim.run_all();
-  on.sim.run_all();
-
-  EXPECT_GT(off.delivered, 0u);
-  EXPECT_EQ(off.sent, on.sent);
-  EXPECT_EQ(off.delivered, on.delivered);
-  EXPECT_EQ(off.egress_ids, on.egress_ids);
-  EXPECT_EQ(off.sys->data_queue_drops(), on.sys->data_queue_drops());
-  EXPECT_EQ(off.sys->rx_ring_drops(), on.sys->rx_ring_drops());
-}
-
-TEST(MpmcFabric, FabricOnIsByteIdenticalToOffWhenSharded) {
-  // Same contract on a sharded plane: the per-slot queues persist as the
-  // MPMC links' per-producer claimed segments, so even multi-shard traffic
-  // is untouched while stealing stays off.
-  LvrmConfig base = FabricRig::cfg(2, false, false);
-  base.granularity = BalancerGranularity::kFlow;
-  LvrmConfig fab = base;
-  fab.mpmc_fabric = true;
-  FabricRig off(base, 4);
-  FabricRig on(fab, 4);
-  off.offer(300'000.0, msec(300));
-  on.offer(300'000.0, msec(300));
-  off.sim.run_all();
-  on.sim.run_all();
-
-  EXPECT_GT(off.delivered, 0u);
-  EXPECT_EQ(off.egress_ids, on.egress_ids);
-  EXPECT_EQ(off.accounted(), off.sent);
-  EXPECT_EQ(on.accounted(), on.sent);
-}
-
 // --- arena audit: ring counts and reclaimed bytes -------------------------
 
 TEST(MpmcFabric, FabricCollapsesRingCountAtLeastFourFold) {
   // 8 shards x 16 VRIs is the acceptance topology: the SPSC mesh needs
   // V*(2S+2)+S rings, the fabric V*3+2S links — >= 4x fewer.
-  LvrmConfig c = FabricRig::cfg(8, true, false);
+  LvrmConfig c = FabricRig::cfg(8, false);
   c.max_vris_per_vr = 16;
   FabricRig rig(c, 16);
   const std::size_t mesh = rig.sys->mesh_ring_count();
@@ -156,15 +108,12 @@ TEST(MpmcFabric, FabricCollapsesRingCountAtLeastFourFold) {
 }
 
 TEST(MpmcFabric, FabricArenaReservesFewerBytesThanMesh) {
-  // The ShmArena audit (§17 satellite): the fabric build's actual arena
-  // reservation is strictly smaller than the mesh build's for the same
-  // topology, and the reclaimed headroom is published as a gauge.
-  LvrmConfig mesh_cfg = FabricRig::cfg(2, false, false);
-  LvrmConfig fab_cfg = mesh_cfg;
-  fab_cfg.mpmc_fabric = true;
-  FabricRig mesh(mesh_cfg, 4);
-  FabricRig fab(fab_cfg, 4);
-  EXPECT_LT(fab.sys->shm().total_bytes(), mesh.sys->shm().total_bytes());
+  // The ShmArena audit: the arena reserves exactly the fabric's ring bytes,
+  // strictly fewer than the equivalent SPSC mesh would, and the reclaimed
+  // headroom is published as a gauge.
+  FabricRig fab(FabricRig::cfg(2, false), 4);
+  EXPECT_EQ(fab.sys->shm().total_bytes(), fab.sys->fabric_ring_bytes());
+  EXPECT_LT(fab.sys->shm().total_bytes(), fab.sys->mesh_ring_bytes());
 
   fab.offer(100'000.0, msec(100));
   fab.sim.run_all();
@@ -174,7 +123,8 @@ TEST(MpmcFabric, FabricArenaReservesFewerBytesThanMesh) {
   for (const auto& g : fab.sys->telemetry()->metrics().snapshot().gauges) {
     if (g.name == "lvrm_fabric_reclaimed_bytes") {
       saw_reclaimed = true;
-      EXPECT_GT(g.value, 0.0);
+      EXPECT_EQ(g.value, static_cast<double>(fab.sys->mesh_ring_bytes() -
+                                             fab.sys->fabric_ring_bytes()));
     }
     if (g.name == "lvrm_fabric_rings") {
       saw_rings = true;
@@ -183,15 +133,28 @@ TEST(MpmcFabric, FabricArenaReservesFewerBytesThanMesh) {
   }
   EXPECT_TRUE(saw_reclaimed);
   EXPECT_TRUE(saw_rings);
+}
 
-  // And the mesh build publishes none of the fabric family (byte-identity).
-  mesh.offer(100'000.0, msec(100));
-  mesh.sim.run_all();
-  mesh.sys->snapshot_telemetry();
-  for (const auto& g : mesh.sys->telemetry()->metrics().snapshot().gauges)
-    EXPECT_TRUE(g.name.rfind("lvrm_fabric", 0) != 0 &&
-                g.name.rfind("lvrm_mesh", 0) != 0)
-        << g.name;
+TEST(MpmcFabric, RespawnKeepsTheFabricSegmentLayout) {
+  // A crashed VRI's replacement is a fresh fork with fresh shared-memory
+  // segments (Sec 3.8). They must have the fabric layout, so the arena
+  // holds the same segments and bytes after the respawn as before.
+  LvrmConfig c = FabricRig::cfg(2, false);
+  c.health.enabled = true;
+  FabricRig rig(c, 4);
+  const std::size_t segments = rig.sys->shm().segment_count();
+  const std::size_t bytes = rig.sys->shm().total_bytes();
+  EXPECT_EQ(bytes, rig.sys->fabric_ring_bytes());
+  rig.offer(100'000.0, sec(2));
+  rig.faults->schedule(
+      {.kind = FaultKind::kCrash, .vri = 1, .at = sec(1) + msec(350)});
+  rig.sim.run_all();
+
+  ASSERT_EQ(rig.sys->recovery_log().size(), 1u);
+  ASSERT_TRUE(rig.sys->recovery_log()[0].respawned);
+  EXPECT_EQ(rig.sys->shm().segment_count(), segments);
+  EXPECT_EQ(rig.sys->shm().total_bytes(), bytes);
+  EXPECT_EQ(rig.sys->shm().total_bytes(), rig.sys->fabric_ring_bytes());
 }
 
 // --- work stealing --------------------------------------------------------
@@ -200,7 +163,7 @@ TEST(MpmcFabric, IdleVriStealsFromSlowedSibling) {
   // Frame granularity (no pins): slow one VRI 8x so its data queue backlogs
   // while its sibling idles — the sibling's idle hook must steal. Every
   // frame still arrives exactly once.
-  LvrmConfig c = FabricRig::cfg(1, true, true);
+  LvrmConfig c = FabricRig::cfg(1, true);
   FabricRig rig(c, 2);
   rig.faults->schedule({.kind = FaultKind::kSlowdown,
                         .vri = 0,
@@ -225,7 +188,7 @@ TEST(MpmcFabric, PinnedFlowsAreNeverStolen) {
   // Flow granularity with no replication: every queued head carries a
   // pinned flow, so the steal-only-unpinned filter must refuse ALL ingress
   // steals even with a backlogged sibling right next to an idle one.
-  LvrmConfig c = FabricRig::cfg(1, true, true);
+  LvrmConfig c = FabricRig::cfg(1, true);
   c.granularity = BalancerGranularity::kFlow;
   FabricRig rig(c, 2);
   rig.faults->schedule({.kind = FaultKind::kSlowdown,
@@ -246,7 +209,7 @@ TEST(MpmcFabric, StealVsPinOrderingSurvivesCrashRespawn) {
   // crash and respawn mid-run. The pin filter, the TX-drain gate, and the
   // recovery re-dispatch must together keep every flow's egress in order
   // and every frame accounted.
-  LvrmConfig c = FabricRig::cfg(2, true, true);
+  LvrmConfig c = FabricRig::cfg(2, true);
   c.granularity = BalancerGranularity::kFlow;
   c.health.enabled = true;
   FabricRig rig(c, 4);
@@ -267,7 +230,7 @@ TEST(MpmcFabric, StealingLeaksNoPoolSlotsAcrossConfigMatrix) {
   // sharding, through a crash: every frame is delivered or lands in a drop
   // bucket no matter which server ran it.
   for (const bool batched : {false, true}) {
-    LvrmConfig c = FabricRig::cfg(2, true, true);
+    LvrmConfig c = FabricRig::cfg(2, true);
     c.batched_hot_path = batched;
     c.health.enabled = true;
     FabricRig rig(c, 4);
@@ -289,7 +252,7 @@ TEST(MpmcFabric, StealingLeaksNoPoolSlotsAcrossConfigMatrix) {
 TEST(MpmcFabric, StealCountersAndGaugesOnlyWhenStealingOn) {
   // Counter/gauge hygiene: the steal families appear iff work_stealing is
   // on, so defaults-off exports stay byte-identical to earlier builds.
-  FabricRig off(FabricRig::cfg(1, true, false), 2);
+  FabricRig off(FabricRig::cfg(1, false), 2);
   off.offer(100'000.0, msec(100));
   off.sim.run_all();
   for (const auto& ctr : off.sys->telemetry()->metrics().snapshot().counters)
@@ -297,7 +260,7 @@ TEST(MpmcFabric, StealCountersAndGaugesOnlyWhenStealingOn) {
   for (const auto& g : off.sys->telemetry()->metrics().snapshot().gauges)
     EXPECT_TRUE(g.name.find("steal") == std::string::npos) << g.name;
 
-  LvrmConfig c = FabricRig::cfg(1, true, true);
+  LvrmConfig c = FabricRig::cfg(1, true);
   FabricRig on(c, 2);
   on.faults->schedule({.kind = FaultKind::kSlowdown,
                        .vri = 0,
@@ -324,7 +287,7 @@ TEST(MpmcFabric, IdleShardStealsForeignTxDrain) {
   // has no work at all. The idle shard must pick up shard 0's data_out
   // backlog through its staging queue — counted, audited, and without
   // losing a frame or a pool slot.
-  LvrmConfig c = FabricRig::cfg(2, true, true);
+  LvrmConfig c = FabricRig::cfg(2, true);
   c.steal_min_backlog = 2;
   // dummy_load 0: the VRI is fast, so its egress bursts outrun shard 0's
   // drain while shard 0 is busy dispatching RX batches.
@@ -368,7 +331,7 @@ TEST(MpmcFabric, StealAuditEventsReachTheChromeTrace) {
   // IdleShardStealsForeignTxDrain), so the nearly idle shard 1 steals from
   // VRI 0's TX drain. Both audit kinds must reach the Chrome trace with
   // their fields.
-  LvrmConfig c = FabricRig::cfg(2, true, true);
+  LvrmConfig c = FabricRig::cfg(2, true);
   c.steal_min_backlog = 2;
   FabricRig rig(c, /*initial_vris=*/2, FabricRig::kFlows,
                 /*dummy_load=*/usec(2));
@@ -412,24 +375,6 @@ TEST(MpmcFabric, StealAuditEventsReachTheChromeTrace) {
                        "\"victim_vri\":1,"),
             std::string::npos);
   EXPECT_EQ(rig.accounted(), rig.sent);
-}
-
-TEST(MpmcFabric, WorkStealingRequiresFabric) {
-  // work_stealing without mpmc_fabric is inert: no steal machinery, no
-  // steal metrics — the gate composes, it does not free-float.
-  LvrmConfig c = FabricRig::cfg(1, /*fabric=*/false, /*stealing=*/true);
-  FabricRig rig(c, 2);
-  rig.faults->schedule({.kind = FaultKind::kSlowdown,
-                        .vri = 0,
-                        .at = msec(10),
-                        .duration = msec(400),
-                        .magnitude = 8.0});
-  rig.offer(250'000.0, msec(300));
-  rig.sim.run_all();
-  EXPECT_EQ(rig.sys->vri_steals(), 0u);
-  EXPECT_EQ(rig.sys->tx_steals(), 0u);
-  for (const auto& ctr : rig.sys->telemetry()->metrics().snapshot().counters)
-    EXPECT_TRUE(ctr.name.find("steal") == std::string::npos) << ctr.name;
 }
 
 }  // namespace

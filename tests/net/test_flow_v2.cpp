@@ -44,8 +44,7 @@ TEST(FlowTableV2, LookupRefreshesTimestamp) {
   EXPECT_FALSE(table.lookup(tuple(1, 2, 3, 4), sec(29)).has_value());
 }
 
-// Same strict '>' boundary as FlowTable — this equivalence is what makes
-// the flow_table_v2 gate byte-identical in experiment outputs.
+// Same strict '>' boundary as FlowTable.
 TEST(FlowTableV2, ExpiryBoundaryIsExclusive) {
   FlowTableV2 alive(64, sec(10));
   alive.insert(tuple(1, 2, 3, 4), 1, 0);

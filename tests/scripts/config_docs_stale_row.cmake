@@ -4,8 +4,9 @@
 #
 #   cmake -DPYTHON=<python3> -DROOT=<repo> -DWORK=<dir> -P config_docs_stale_row.cmake
 file(REMOVE_RECURSE ${WORK})
-file(MAKE_DIRECTORY ${WORK}/src/lvrm ${WORK}/src/obs)
+file(MAKE_DIRECTORY ${WORK}/src/lvrm ${WORK}/src/obs ${WORK}/docs)
 file(COPY ${ROOT}/src/lvrm/config.hpp DESTINATION ${WORK}/src/lvrm)
+file(COPY ${ROOT}/docs/METRICS.md DESTINATION ${WORK}/docs)
 file(GLOB obs_headers ${ROOT}/src/obs/*.hpp)
 file(COPY ${obs_headers} DESTINATION ${WORK}/src/obs)
 
