@@ -15,6 +15,8 @@
 // hung VRI silently blackholes whatever JSQ still steers at it forever.
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bench/exp_common.hpp"
@@ -170,8 +172,10 @@ int main(int argc, char** argv) {
   TablePrinter table({"fault", "supervision", "detected", "detect ms",
                       "recover ms", "pre Kfps", "tail Kfps", "redispatched"},
                      args.csv);
-  double crash_detect_base = -1.0;
-  double crash_detect_hb = -1.0;
+  // Mean crash detection time over the trials that detected it; nullopt
+  // when none did.
+  std::optional<double> crash_detect_base;
+  std::optional<double> crash_detect_hb;
   bool hang_base_recovered = true;
   bool hang_hb_recovered = false;
   double hang_base_tail = 0.0;
@@ -209,7 +213,8 @@ int main(int argc, char** argv) {
          TablePrinter::num(redispatched.mean(), 0)});
 
     if (sc.kind == FaultKind::kCrash) {
-      (sc.heartbeat ? crash_detect_hb : crash_detect_base) = detect.mean();
+      if (detected_in > 0)
+        (sc.heartbeat ? crash_detect_hb : crash_detect_base) = detect.mean();
     } else if (sc.heartbeat) {
       hang_hb_recovered = recovered_in == trials;
     } else {
@@ -219,12 +224,22 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
+  // Only detected means are compared: a mode that never fired has no
+  // detection time, so it is neither faster nor slower by a number.
+  const auto detect_ms = [](const std::optional<double>& ms) {
+    return ms ? TablePrinter::num(*ms, 1) + " ms" : std::string("never");
+  };
+  const char* verdict = "neither detected";
+  if (crash_detect_hb && crash_detect_base)
+    verdict = *crash_detect_hb < *crash_detect_base ? "faster" : "NOT faster";
+  else if (crash_detect_hb)
+    verdict = "faster";
+  else if (crash_detect_base)
+    verdict = "NOT faster";
   std::cout << "\nheadlines:\n"
-            << "  crash detection: heartbeat "
-            << TablePrinter::num(crash_detect_hb, 1) << " ms vs stock pass "
-            << TablePrinter::num(crash_detect_base, 1) << " ms ("
-            << (crash_detect_hb < crash_detect_base ? "faster" : "NOT faster")
-            << ")\n"
+            << "  crash detection: heartbeat " << detect_ms(crash_detect_hb)
+            << " vs stock pass " << detect_ms(crash_detect_base) << " ("
+            << verdict << ")\n"
             << "  hang under JSQ:  stock supervisor "
             << (hang_base_recovered ? "recovered (unexpected)"
                                     : "never recovers (tail " +
