@@ -10,6 +10,7 @@
 #include "net/flow.hpp"
 #include "net/state_record.hpp"
 #include "sim/costs.hpp"
+#include "sim/event_lane.hpp"
 #include "vr/factory.hpp"
 #include "vr/stateful.hpp"
 
@@ -137,6 +138,8 @@ struct LvrmSystem::VrState {
   PaperEwma arrival_gap{7.0};
   Nanos last_arrival = -1;
   Nanos pipeline_latency = 0;
+  /// The Click VR's pipeline hop (set when pipeline_latency > 0).
+  std::unique_ptr<sim::EventLane> pipeline;
   std::uint64_t frames_in = 0;
   std::uint64_t forwarded = 0;
   std::uint64_t data_drops = 0;
@@ -491,7 +494,11 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
     // stateful kinds (NAT / firewall / rate limit) around their configured
     // inner engine (§16).
     s->router = make_configured_vr(vr->cfg, vr->cfg.route_map);
-    if (i == 0) vr->pipeline_latency = s->router->pipeline_latency();
+    if (i == 0) {
+      vr->pipeline_latency = s->router->pipeline_latency();
+      if (vr->pipeline_latency > 0)
+        vr->pipeline = std::make_unique<sim::EventLane>(sim_);
+    }
     s->estimator = make_estimator(config_.estimator, config_.ewma_weight);
 
     // The VRI's poll loop; parked on the LVRM core until activated (the
@@ -575,15 +582,19 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
             }
             return;
           }
-          if (v->pipeline_latency > 0) {
+          if (v->pipeline) {
             // The Click VR's internal Queue element delays the frame without
-            // consuming extra CPU (Fig 4.6's higher latency).
-            sim_.after(v->pipeline_latency, [this, s, v, f] {
+            // consuming extra CPU (Fig 4.6's higher latency). The delay is
+            // constant per VR, so its frames leave in arrival order.
+            auto hop = [this, s, f] {
               if (!push_or_note(*s->data_out, f, DropCause::kQueueFull))
-                ++v->data_drops;
+                ++vrs_[static_cast<std::size_t>(s->vr_id)]->data_drops;
               else
                 maybe_poke_tx_thieves(*s);
-            });
+            };
+            // One hop per Click frame: it must not be boxed on the heap.
+            static_assert(sizeof(hop) <= sim::Callback::kInlineBytes);
+            v->pipeline->after(v->pipeline_latency, std::move(hop));
           } else if (!push_or_note(*s->data_out, f, DropCause::kQueueFull)) {
             ++v->data_drops;
           } else {

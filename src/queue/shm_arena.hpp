@@ -7,6 +7,10 @@
 // byte regions, explicit attach/detach, failure on unknown ids — without the
 // kernel: the LVRM adapter is still initialized from a segment id exactly as
 // the thesis describes.
+//
+// Like a real segment, whose pages are backed only once touched, a segment's
+// bytes are committed (zero-filled) at its first attach. A queue whose
+// segment nobody maps costs its id and size, nothing more.
 #pragma once
 
 #include <cstddef>
@@ -23,22 +27,32 @@ inline constexpr SegmentId kInvalidSegment = -1;
 
 class ShmArena {
  public:
-  /// shmget() analogue: allocates a zeroed segment, returns its id.
+  /// shmget() analogue: reserves a segment of `bytes`, returns its id.
   SegmentId create(std::size_t bytes);
 
-  /// shmat() analogue: resolves an id to its memory; empty span on failure.
+  /// shmat() analogue: resolves an id to its memory, committing the zeroed
+  /// bytes on the segment's first attach; empty span on failure.
   std::span<std::uint8_t> attach(SegmentId id);
 
   /// shmctl(IPC_RMID) analogue; destroying an unknown id is a no-op.
   void destroy(SegmentId id);
 
   std::size_t segment_count() const { return segments_.size(); }
+  /// Bytes of every live segment, attached or not.
   std::size_t total_bytes() const { return total_bytes_; }
+  /// Bytes of the live segments that have been attached at least once.
+  std::size_t committed_bytes() const { return committed_bytes_; }
 
  private:
-  std::unordered_map<SegmentId, std::vector<std::uint8_t>> segments_;
+  struct Segment {
+    std::size_t bytes = 0;
+    std::vector<std::uint8_t> memory;  // empty until the first attach
+  };
+
+  std::unordered_map<SegmentId, Segment> segments_;
   SegmentId next_id_ = 1000;  // arbitrary non-zero base, like real shm ids
   std::size_t total_bytes_ = 0;
+  std::size_t committed_bytes_ = 0;
 };
 
 }  // namespace lvrm::queue

@@ -4,7 +4,7 @@
 
 namespace lvrm::sim {
 
-Nanos Core::run(Nanos cost, CostCategory cat, OwnerId owner, Callback done) {
+Nanos Core::account(Nanos cost, CostCategory cat, OwnerId owner) {
   Nanos start = std::max(sim_.now(), busy_until_);
   if (owner != last_owner_ && last_owner_ != kNoOwner && owner != kNoOwner) {
     start += ctx_cost_;
@@ -14,7 +14,6 @@ Nanos Core::run(Nanos cost, CostCategory cat, OwnerId owner, Callback done) {
   if (owner != kNoOwner) last_owner_ = owner;
   busy_until_ = start + cost;
   busy_[static_cast<std::size_t>(cat)] += cost;
-  if (done) sim_.at(busy_until_, std::move(done));
   return busy_until_;
 }
 

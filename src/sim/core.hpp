@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -46,10 +47,18 @@ class Core {
   Nanos busy_until() const { return busy_until_; }
 
   /// Runs `cost` nanoseconds of `owner`'s work starting no earlier than now,
-  /// invoking `done` at completion. Returns the completion time. If the core
-  /// is currently busy the work starts when it frees up (callers that want
-  /// explicit queueing — PollServer — only call this when idle()).
-  Nanos run(Nanos cost, CostCategory cat, OwnerId owner, Callback done);
+  /// invoking `done` (any `void()` callable, or nullptr) at completion; the
+  /// callable is constructed in its event slot. nullptr, a null function
+  /// pointer and an empty Callback or std::function schedule nothing.
+  /// Returns the completion time. If the core is currently busy the work
+  /// starts when it frees up (callers that want explicit queueing —
+  /// PollServer — only call this when idle()).
+  template <typename F>
+  Nanos run(Nanos cost, CostCategory cat, OwnerId owner, F&& done) {
+    const Nanos end = account(cost, cat, owner);
+    if (!Callback::is_null(done)) sim_.at(end, std::forward<F>(done));
+    return end;
+  }
 
   /// Charges cost synchronously without scheduling a callback; used for
   /// cheap bookkeeping work folded into a larger operation.
@@ -74,6 +83,10 @@ class Core {
   void reset_accounting();
 
  private:
+  // Books `cost` of `owner`'s work (plus any context switch) and returns
+  // its completion time.
+  Nanos account(Nanos cost, CostCategory cat, OwnerId owner);
+
   Simulator& sim_;
   CoreId id_;
   Nanos ctx_cost_;

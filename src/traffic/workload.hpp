@@ -35,6 +35,33 @@ enum class AttackMix {
   kPortScan,  // one source walking the destination port space
 };
 
+/// Zipf-weighted flow ranks: weight(r) = 1/(r+1)^alpha over `flows` ranks,
+/// rank 0 heaviest. pick(u) maps a uniform draw to the first rank whose CDF
+/// is >= u (clamped to the last rank), the inverse-CDF binary search, but
+/// looks only inside one guide bucket: guide[k] is the first rank whose CDF
+/// is >= k/G, for a power of two G >= flows/8. With u in [0,1) and
+/// k = floor(u*G), the rank lies in [guide[k], guide[k+1]]; both k/G and u*G
+/// are exact in binary floating point, so the result is the full search's,
+/// bit for bit, in about log2(flows/G) steps instead of log2(flows).
+class ZipfRanks {
+ public:
+  ZipfRanks(int flows, double alpha);
+
+  int pick(double u) const;
+  /// The reference: clamped std::lower_bound over the whole CDF.
+  int pick_by_search(double u) const;
+
+  /// Cumulative weights, normalized to 1.
+  const std::vector<double>& cdf() const { return cdf_; }
+  /// G, the number of guide buckets (a power of two).
+  std::size_t buckets() const { return guide_.size() - 1; }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;  // G + 1 entries
+  double scale_ = 1.0;                // G
+};
+
 class WorkloadGenerator {
  public:
   struct Config {
@@ -96,7 +123,7 @@ class WorkloadGenerator {
  private:
   void emit();
   void schedule_next();
-  int pick_flow();  // Zipf-weighted rank via inverse-CDF binary search
+  int pick_flow() { return zipf_.pick(rng_.uniform01()); }
   net::FrameMeta make_legit(Nanos now);
   net::FrameMeta make_attack(Nanos now);
 
@@ -104,7 +131,7 @@ class WorkloadGenerator {
   Config config_;
   Sink sink_;
   Rng rng_;
-  std::vector<double> zipf_cdf_;  // cumulative weights, normalized to 1
+  ZipfRanks zipf_;
   int elephant_count_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint16_t scan_port_ = 1;

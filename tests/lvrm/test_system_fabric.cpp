@@ -135,6 +135,19 @@ TEST(MpmcFabric, FabricArenaReservesFewerBytesThanMesh) {
   EXPECT_TRUE(saw_rings);
 }
 
+TEST(MpmcFabric, SystemReservesSegmentsButCommitsNoBytes) {
+  // The simulated queues are sim::BoundedQueues, so no LvrmSystem code maps
+  // a segment: the arena keeps ids and sizes (Sec 3.8's protocol and the
+  // §17 inventory) and commits no memory, also after traffic.
+  FabricRig fab(FabricRig::cfg(2, false), 4);
+  EXPECT_EQ(fab.sys->shm().total_bytes(), fab.sys->fabric_ring_bytes());
+  EXPECT_EQ(fab.sys->shm().committed_bytes(), 0u);
+  fab.offer(100'000.0, msec(20));
+  fab.sim.run_all();
+  EXPECT_EQ(fab.sys->shm().total_bytes(), fab.sys->fabric_ring_bytes());
+  EXPECT_EQ(fab.sys->shm().committed_bytes(), 0u);
+}
+
 TEST(MpmcFabric, RespawnKeepsTheFabricSegmentLayout) {
   // A crashed VRI's replacement is a fresh fork with fresh shared-memory
   // segments (Sec 3.8). They must have the fabric layout, so the arena

@@ -45,5 +45,28 @@ TEST(ShmArena, DestroyReleases) {
   arena.destroy(id);  // double destroy is a no-op
 }
 
+TEST(ShmArena, BytesAreCommittedAtFirstAttach) {
+  ShmArena arena;
+  const SegmentId a = arena.create(64);
+  const SegmentId b = arena.create(32);
+  EXPECT_EQ(arena.total_bytes(), 96u);
+  EXPECT_EQ(arena.committed_bytes(), 0u);  // created, never attached
+  arena.attach(a)[0] = 0x5A;
+  EXPECT_EQ(arena.committed_bytes(), 64u);
+  EXPECT_EQ(arena.attach(a)[0], 0x5A);  // a second attach keeps the bytes
+  EXPECT_EQ(arena.committed_bytes(), 64u);
+  const auto span = arena.attach(b);
+  ASSERT_EQ(span.size(), 32u);
+  for (auto byte : span) EXPECT_EQ(byte, 0);
+  EXPECT_EQ(arena.committed_bytes(), 96u);
+  arena.destroy(a);
+  EXPECT_EQ(arena.committed_bytes(), 32u);
+  EXPECT_EQ(arena.total_bytes(), 32u);
+  const SegmentId c = arena.create(16);
+  arena.destroy(c);  // never attached: nothing committed to give back
+  EXPECT_EQ(arena.committed_bytes(), 32u);
+  EXPECT_EQ(arena.total_bytes(), 32u);
+}
+
 }  // namespace
 }  // namespace lvrm::queue

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "sim/costs.hpp"
 
 namespace lvrm::sim {
@@ -95,6 +98,33 @@ TEST(Core, WorkStartsNoEarlierThanNow) {
     EXPECT_EQ(done, 510);
   });
   sim.run_all();
+}
+
+TEST(Core, EmptyCallablesScheduleNothing) {
+  Simulator sim;
+  Core core(sim, 0, 0);
+  EXPECT_EQ(core.run(10, CostCategory::kUser, 1, nullptr), 10);
+  EXPECT_EQ(core.run(10, CostCategory::kUser, 1, Callback{}), 20);
+  EXPECT_EQ(core.run(10, CostCategory::kUser, 1, std::function<void()>{}), 30);
+  void (*null_fn)() = nullptr;
+  EXPECT_EQ(core.run(10, CostCategory::kUser, 1, null_fn), 40);
+  EXPECT_TRUE(sim.idle());  // no event was queued
+  sim.run_all();
+  EXPECT_EQ(sim.events_processed(), 0u);
+  EXPECT_EQ(core.busy(CostCategory::kUser), 40);  // the work still counts
+}
+
+TEST(Core, NonEmptyCallablesFireOnceAtCompletion) {
+  Simulator sim;
+  Core core(sim, 0, 0);
+  std::vector<Nanos> fired;
+  std::function<void()> fn = [&] { fired.push_back(sim.now()); };
+  core.run(10, CostCategory::kUser, 1, fn);  // a copy of an lvalue
+  core.run(10, CostCategory::kUser, 1, Callback([&] { fired.push_back(-sim.now()); }));
+  core.run(10, CostCategory::kUser, 1, [&] { fired.push_back(sim.now() + 1); });
+  sim.run_all();
+  EXPECT_EQ(fired, (std::vector<Nanos>{10, -20, 31}));
+  EXPECT_EQ(sim.events_processed(), 3u);
 }
 
 }  // namespace
