@@ -1,25 +1,22 @@
-// bench_hotpath — host-side microbench of the batched, allocation-free frame
-// hot path (PR 2's perf trajectory point).
+// bench_hotpath — host-side microbench of the frame hot path.
 //
 // Unlike the exp* benches, which measure *simulated* time, this one measures
 // REAL host nanoseconds spent per frame of simulation work — the overhead the
-// thesis' Sec 3.5 optimizations target. Four comparisons:
+// thesis' Sec 3.5 optimizations target. Three comparisons:
 //
 //   ring     : SpscRing/McRingBuffer throughput, try_push/try_pop one at a
 //              time vs try_push_batch/try_pop_batch in bursts of 16.
-//   serve    : the old boxed completion (make_shared<FrameMeta> + a
-//              shared_ptr-capturing std::function, two heap allocations per
-//              item) vs the new unboxed member-slot completion (zero).
-//   poll     : a PollServer inside a Simulator driving frames through a
-//              cost+sink input, classic per-item serving vs coalesced batch
-//              serving; host ns per simulated frame.
+//   poll     : a PollServer inside a Simulator serving a steadily fed
+//              cost+sink input, one item per core event vs coalesced
+//              bursts of 16; host ns per simulated frame.
 //   dispatch : Dispatcher in flow mode, per-frame dispatch() vs
 //              dispatch_batch() over 16-frame bursts of 4 hot flows.
 //
 // Emits BENCH_hotpath.json (flat key:number). With --baseline=FILE the run
-// compares its per-frame host overhead (normalized by a calibration spin
-// loop so the check is machine-independent) against the committed baseline
-// and exits non-zero on regression beyond --tolerance (default 0.25).
+// compares its per-frame host overhead (the per-item poll workload,
+// normalized by a calibration spin loop so the check is machine-independent)
+// against the committed baseline and exits non-zero on regression beyond
+// --tolerance (default 0.25).
 //
 //   telemetry: the same poll workload with the obs-layer hot-path touches
 //              (pre-registered counter adds + sampled histogram records) on
@@ -37,11 +34,6 @@
 //              LvrmSystem in *simulated* time (deterministic, unlike the
 //              host-ns sections): aggregate Kfps at 1 vs 2 dispatcher shards
 //              plus the affinity/ordering invariant counts.
-//   descriptor: the DESIGN.md §12 zero-copy data path. One ring hop moving
-//              the ~128-byte FrameMeta by value vs a 32-bit FrameHandle into
-//              a FramePool; the full dispatch->VRI->TX three-hop chain with
-//              acquire-at-ingress / release-at-TX; and 1 vs 2 interleaved
-//              shard chains sharing one pool.
 //   padding  : a REAL two-thread SpscRing transfer — the producer and
 //              consumer index blocks live on separate cache lines
 //              (alignas(kCacheLine)); this is the workload that collapses
@@ -57,27 +49,20 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/rng.hpp"
 #include "exp/experiments.hpp"
 #include "lvrm/load_balancer.hpp"
-#include "net/flow.hpp"
-#include "net/flow_v2.hpp"
 #include "net/frame.hpp"
-#include "net/frame_pool.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "queue/mc_ring.hpp"
 #include "queue/mpmc_link.hpp"
-#include "queue/shm_arena.hpp"
 #include "queue/spsc_ring.hpp"
 #include "sim/costs.hpp"
 #include "sim/poll_server.hpp"
@@ -215,77 +200,66 @@ double ring_single_mops(Ring& ring, std::uint64_t items) {
   return static_cast<double>(items) * 1e3 / elapsed;
 }
 
-// --- serve: boxed (seed) vs unboxed (this PR) -----------------------------------
-
-/// The seed's completion shape: the item is boxed into a shared_ptr so the
-/// completion lambda is copyable for std::function — one allocation for the
-/// control block + payload, and (shared_ptr capture > SBO) one for the
-/// std::function itself. Mirrors sim/poll_server.hpp@PR1 line 119.
-double serve_boxed_ns(std::uint64_t items) {
-  std::uint64_t sunk = 0;
-  auto sink = [&sunk](net::FrameMeta&& f) { sunk += f.id; };
-  const double t0 = now_ns();
-  for (std::uint64_t i = 0; i < items; ++i) {
-    net::FrameMeta item;
-    item.id = i;
-    auto boxed = std::make_shared<net::FrameMeta>(std::move(item));
-    std::function<void()> done = [boxed, &sink] { sink(std::move(*boxed)); };
-    done();
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(sunk, std::memory_order_relaxed);
-  return elapsed / static_cast<double>(items);
-}
-
-/// This PR's completion shape: the item parks in a member-style slot and the
-/// callback captures one pointer (fits std::function's small-buffer
-/// optimization) — zero heap allocations per item.
-double serve_unboxed_ns(std::uint64_t items) {
-  std::uint64_t sunk = 0;
-  auto sink = [&sunk](net::FrameMeta&& f) { sunk += f.id; };
-  struct Slot {
-    std::optional<net::FrameMeta> in_service;
-  } slot;
-  const double t0 = now_ns();
-  for (std::uint64_t i = 0; i < items; ++i) {
-    net::FrameMeta item;
-    item.id = i;
-    slot.in_service = std::move(item);
-    std::function<void()> done = [&slot, &sink] {
-      net::FrameMeta f = std::move(*slot.in_service);
-      slot.in_service.reset();
-      sink(std::move(f));
-    };
-    done();
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(sunk, std::memory_order_relaxed);
-  return elapsed / static_cast<double>(items);
-}
-
 // --- poll: PollServer host overhead per simulated frame -------------------------
 
-double poll_host_ns(std::uint64_t frames, bool coalesce) {
+/// Host ns per frame of one PollServer inside a Simulator, serving a
+/// cost+sink input in bursts of 16 (coalesced or one item per core event).
+/// A sim event feeds the queue 16 frames per 16 service times, the way an RX
+/// ring fills at line rate, so the queue stays shallow and the timed window
+/// holds only steady-state serving — no bulk fill of a deep queue. The
+/// pickup latency lets a whole burst land before an idle server looks.
+/// `on_serve(f)` runs in the cost fn and `on_deliver(f)` in the sink: the
+/// hooks through which the telemetry and tracing sections add the per-frame
+/// touches LvrmSystem makes.
+template <typename OnServe, typename OnDeliver>
+double poll_host_ns(std::uint64_t frames, bool coalesce, OnServe on_serve,
+                    OnDeliver on_deliver) {
+  constexpr std::size_t kBurst = 16;
+  constexpr Nanos kCost = 100;
   sim::Simulator sim;
   sim::Core core(sim, 0, 0);
-  sim::BoundedQueue<net::FrameMeta> q(frames + 1, "bench-q");
-  sim::PollServer<net::FrameMeta> server(sim, core, 0, "bench");
+  sim::BoundedQueue<net::FrameMeta> q(4 * kBurst, "bench-q");
+  sim::PollServer<net::FrameMeta> server(sim, core, 0, "bench",
+                                         /*pickup_latency=*/kCost / 2);
   std::uint64_t sunk = 0;
   server.add_input(
-      q, /*priority=*/1, [](net::FrameMeta&) { return Nanos{100}; },
-      [&sunk](net::FrameMeta&& f) { sunk += f.id; },
-      sim::CostCategory::kUser, /*batch=*/16, coalesce);
+      q, /*priority=*/1,
+      [&on_serve](net::FrameMeta& f) {
+        on_serve(f);
+        return kCost;
+      },
+      [&sunk, &on_deliver](net::FrameMeta&& f) {
+        on_deliver(f);
+        sunk += f.id;
+      },
+      sim::CostCategory::kUser, kBurst, coalesce);
   server.start();
+  struct Feeder {
+    sim::Simulator& sim;
+    sim::BoundedQueue<net::FrameMeta>& q;
+    std::uint64_t frames;
+    std::uint64_t next = 0;
+    void tick() {
+      for (std::size_t i = 0; i < kBurst && next < frames; ++i) {
+        net::FrameMeta f;
+        f.id = next++;
+        q.push(f);
+      }
+      if (next < frames)
+        sim.after(static_cast<Nanos>(kBurst) * kCost, [this] { tick(); });
+    }
+  } feeder{sim, q, frames};
   const double t0 = now_ns();
-  for (std::uint64_t i = 0; i < frames; ++i) {
-    net::FrameMeta f;
-    f.id = i;
-    q.push(std::move(f));
-  }
+  feeder.tick();
   sim.run_all();
   const double elapsed = now_ns() - t0;
   g_guard.fetch_add(sunk, std::memory_order_relaxed);
   return elapsed / static_cast<double>(frames);
+}
+
+double poll_host_ns(std::uint64_t frames, bool coalesce) {
+  return poll_host_ns(
+      frames, coalesce, [](net::FrameMeta&) {}, [](const net::FrameMeta&) {});
 }
 
 // --- telemetry: hot-path overhead of the obs layer -------------------------------
@@ -298,27 +272,21 @@ struct TelemetryHooks {
   obs::LogHistogram wait_ns, svc_ns, e2e_ns;
 };
 
-/// Same workload as poll_host_ns(frames, /*coalesce=*/false), with the
-/// telemetry touches LvrmSystem's RX cost fn and TX sink make. `hooks` null
-/// reproduces the telemetry-off configuration: the branch is still there
-/// (LvrmSystem always pays one null check) but nothing else is.
+/// The per-item poll workload with the telemetry touches LvrmSystem's RX
+/// cost fn and TX sink make. `hooks` null reproduces the telemetry-off
+/// configuration: the branch is still there (LvrmSystem always pays one null
+/// check) but nothing else is.
 double poll_host_ns_telemetry(std::uint64_t frames, obs::Telemetry* tel,
                               TelemetryHooks* hooks) {
-  sim::Simulator sim;
-  sim::Core core(sim, 0, 0);
-  sim::BoundedQueue<net::FrameMeta> q(frames + 1, "bench-q");
-  sim::PollServer<net::FrameMeta> server(sim, core, 0, "bench");
-  std::uint64_t sunk = 0;
-  server.add_input(
-      q, /*priority=*/1,
+  return poll_host_ns(
+      frames, /*coalesce=*/false,
       [tel, hooks](net::FrameMeta& f) {
         if (hooks) {
           hooks->rx.inc();
           if (tel->should_sample()) f.obs_sampled = 1;
         }
-        return Nanos{100};
       },
-      [&sunk, hooks](net::FrameMeta&& f) {
+      [hooks](const net::FrameMeta& f) {
         if (hooks) {
           hooks->tx.inc();
           if (f.obs_sampled) {
@@ -327,39 +295,21 @@ double poll_host_ns_telemetry(std::uint64_t frames, obs::Telemetry* tel,
             hooks->e2e_ns.record(static_cast<std::int64_t>(f.id & 4095));
           }
         }
-        sunk += f.id;
-      },
-      sim::CostCategory::kUser, /*batch=*/16, /*coalesce=*/false);
-  server.start();
-  const double t0 = now_ns();
-  for (std::uint64_t i = 0; i < frames; ++i) {
-    net::FrameMeta f;
-    f.id = i;
-    q.push(std::move(f));
-  }
-  sim.run_all();
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(sunk, std::memory_order_relaxed);
-  return elapsed / static_cast<double>(frames);
+      });
 }
 
 // --- tracing: hot-path overhead of the §15 tracer --------------------------------
 
-/// Same workload again, with the exact per-frame touches LvrmSystem makes
-/// when `tracing.enabled` is set: compact flight-recorder stores at RX
+/// The per-item poll workload with the exact per-frame touches LvrmSystem
+/// makes when `tracing.enabled` is set: compact flight-recorder stores at RX
 /// ingress + dispatch (cost fn) and VRI start/end + TX drain (sink) — five
 /// per delivered frame, matching the real pipeline's hop count — plus the
 /// pressure observation feeding the adaptive controller, the sample tick,
 /// and the PathSpan append for the sampled subset. `tracer` null reproduces
 /// tracing-off: one null check, nothing else, like the real hot path.
 double poll_host_ns_tracing(std::uint64_t frames, obs::Tracer* tracer) {
-  sim::Simulator sim;
-  sim::Core core(sim, 0, 0);
-  sim::BoundedQueue<net::FrameMeta> q(frames + 1, "bench-q");
-  sim::PollServer<net::FrameMeta> server(sim, core, 0, "bench");
-  std::uint64_t sunk = 0;
-  server.add_input(
-      q, /*priority=*/1,
+  return poll_host_ns(
+      frames, /*coalesce=*/false,
       [tracer](net::FrameMeta& f) {
         if (tracer) {
           const Nanos t = static_cast<Nanos>(f.id);
@@ -369,9 +319,8 @@ double poll_host_ns_tracing(std::uint64_t frames, obs::Tracer* tracer) {
           tracer->record(0, obs::TraceHop::kDispatch, f.id, 0, 0, t, 0,
                          f.obs_sampled != 0);
         }
-        return Nanos{100};
       },
-      [&sunk, tracer](net::FrameMeta&& f) {
+      [tracer](const net::FrameMeta& f) {
         if (tracer) {
           const Nanos t = static_cast<Nanos>(f.id) + 100;
           const bool sampled = f.obs_sampled != 0;
@@ -389,20 +338,7 @@ double poll_host_ns_tracing(std::uint64_t frames, obs::Tracer* tracer) {
             tracer->add_span(s);
           }
         }
-        sunk += f.id;
-      },
-      sim::CostCategory::kUser, /*batch=*/16, /*coalesce=*/false);
-  server.start();
-  const double t0 = now_ns();
-  for (std::uint64_t i = 0; i < frames; ++i) {
-    net::FrameMeta f;
-    f.id = i;
-    q.push(std::move(f));
-  }
-  sim.run_all();
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(sunk, std::memory_order_relaxed);
-  return elapsed / static_cast<double>(frames);
+      });
 }
 
 // --- dispatch: per-frame vs batch ------------------------------------------------
@@ -446,243 +382,6 @@ double dispatch_ns(std::uint64_t frames, bool batched) {
   const double elapsed = now_ns() - t0;
   g_guard.fetch_add(acc, std::memory_order_relaxed);
   return elapsed / static_cast<double>(frames);
-}
-
-// --- descriptor: copy-per-hop vs handle-passing (DESIGN.md §12) -----------------
-
-/// One IPC ring hop, pre-§12 representation: the whole FrameMeta crosses the
-/// ring by value (a slot write on push, a slot read on pop), 16-burst batch
-/// API as the hot path uses.
-double descriptor_hop_copy_ns(std::uint64_t frames) {
-  queue::SpscRing<net::FrameMeta> ring(64);
-  net::FrameMeta in_buf[16];
-  net::FrameMeta out_buf[16];
-  for (std::size_t i = 0; i < 16; ++i)
-    in_buf[i] = make_flow_frame(static_cast<std::uint32_t>(i) % 4, i);
-  std::uint64_t acc = 0;
-  const double t0 = now_ns();
-  for (std::uint64_t done = 0; done < frames; done += 16) {
-    ring.try_push_batch(in_buf, 16);
-    call_boundary();
-    ring.try_pop_batch(out_buf, 16);
-    call_boundary();
-    acc += out_buf[0].id + out_buf[15].id;
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(acc, std::memory_order_relaxed);
-  return elapsed / static_cast<double>(frames);
-}
-
-/// The same hop in descriptor mode: the frames stay parked in FramePool
-/// slots and only 32-bit handles cross the ring; the consumer prefetches
-/// the burst's slots and reads through the handles (the pointer chase is
-/// part of the price, so it is measured).
-double descriptor_hop_handle_ns(std::uint64_t frames) {
-  queue::ShmArena arena;
-  net::FramePool pool(arena, 32);
-  queue::SpscRing<net::FrameHandle> ring(64);
-  net::FrameHandle in_buf[16];
-  net::FrameHandle out_buf[16];
-  for (std::size_t i = 0; i < 16; ++i) {
-    in_buf[i] = pool.acquire();
-    pool.at(in_buf[i]) = make_flow_frame(static_cast<std::uint32_t>(i) % 4, i);
-  }
-  std::uint64_t acc = 0;
-  const double t0 = now_ns();
-  for (std::uint64_t done = 0; done < frames; done += 16) {
-    ring.try_push_batch(in_buf, 16);
-    call_boundary();
-    ring.try_pop_batch(out_buf, 16);
-    call_boundary();
-    for (std::size_t i = 0; i < 16; ++i) pool.prefetch(out_buf[i]);
-    acc += pool.at(out_buf[0]).id + pool.at(out_buf[15]).id;
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(acc, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < 16; ++i) pool.release(in_buf[i]);
-  return elapsed / static_cast<double>(frames);
-}
-
-/// Sustained per-ring occupancy for the chain benches. The descriptor path
-/// exists for the loaded regime (DESIGN.md §12): under pressure the
-/// dispatch/data/TX rings run hundreds deep, so a copied slot is evicted
-/// from L1 long before its ring position is reused (384 slots x ~2 cache
-/// lines x 3 rings is far past 32 KiB), while 4-byte handles keep all three
-/// rings resident. A near-empty chain — every slot hot in L1 — is the copy
-/// representation's best case and measures nothing the flag changes.
-constexpr std::size_t kChainRingCap = 512;
-constexpr std::uint64_t kChainDepth = 384;
-
-/// Full dispatch->VRI->TX chain, copy mode: the frame is written once at
-/// ingress, then copied across three rings and read at TX completion. The
-/// rings are pre-filled to kChainDepth and the timed loop holds them there.
-double descriptor_chain_copy_mops(std::uint64_t frames) {
-  queue::SpscRing<net::FrameMeta> rx(kChainRingCap);
-  queue::SpscRing<net::FrameMeta> data(kChainRingCap);
-  queue::SpscRing<net::FrameMeta> tx(kChainRingCap);
-  const net::FrameMeta proto = make_flow_frame(1, 0);
-  net::FrameMeta buf[16];
-  net::FrameMeta tmp[16];
-  std::uint64_t next_id = 0;
-  const auto fill16 = [&] {
-    for (std::size_t i = 0; i < 16; ++i) {  // RX writes the frame once
-      buf[i] = proto;
-      buf[i].id = next_id++;
-    }
-  };
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    tx.try_push_batch(buf, 16);
-  }
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    data.try_push_batch(buf, 16);
-  }
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    rx.try_push_batch(buf, 16);
-  }
-  std::uint64_t acc = 0;
-  const double t0 = now_ns();
-  for (std::uint64_t done = 0; done < frames; done += 16) {
-    tx.try_pop_batch(tmp, 16);  // TX completion: read + retire
-    call_boundary();
-    for (std::size_t i = 0; i < 16; ++i) acc += tmp[i].id;
-    data.try_pop_batch(tmp, 16);  // VRI: data-queue -> TX hop
-    call_boundary();
-    tx.try_push_batch(tmp, 16);
-    call_boundary();
-    rx.try_pop_batch(tmp, 16);  // LVRM dispatch: RX -> data hop
-    call_boundary();
-    data.try_push_batch(tmp, 16);
-    call_boundary();
-    fill16();  // RX ingress admits a fresh burst
-    rx.try_push_batch(buf, 16);
-    call_boundary();
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(acc, std::memory_order_relaxed);
-  return static_cast<double>(frames) * 1e3 / elapsed;  // Mops
-}
-
-/// The same chain in descriptor mode: allocate once at RX ingress (write the
-/// frame into its pool slot), pass the handle across all three rings at the
-/// same sustained kChainDepth occupancy, read and free once at TX
-/// completion — the §12 lifecycle end to end, pool acquire/release cost
-/// included.
-double descriptor_chain_handle_mops(std::uint64_t frames) {
-  queue::ShmArena arena;
-  net::FramePool pool(arena, 3 * kChainDepth + 64);
-  queue::SpscRing<net::FrameHandle> rx(kChainRingCap);
-  queue::SpscRing<net::FrameHandle> data(kChainRingCap);
-  queue::SpscRing<net::FrameHandle> tx(kChainRingCap);
-  const net::FrameMeta proto = make_flow_frame(1, 0);
-  net::FrameHandle buf[16];
-  net::FrameHandle tmp[16];
-  std::uint64_t next_id = 0;
-  const auto fill16 = [&] {
-    for (std::size_t i = 0; i < 16; ++i) {  // allocate + write once at RX
-      buf[i] = pool.acquire();
-      net::FrameMeta& m = pool.at(buf[i]);
-      m = proto;
-      m.id = next_id++;
-    }
-  };
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    tx.try_push_batch(buf, 16);
-  }
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    data.try_push_batch(buf, 16);
-  }
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    rx.try_push_batch(buf, 16);
-  }
-  std::uint64_t acc = 0;
-  net::FrameHandle done_buf[16];
-  const double t0 = now_ns();
-  for (std::uint64_t done = 0; done < frames; done += 16) {
-    // Pop + prefetch the completed burst first, then run the other hops
-    // while those loads are in flight — the same pop-prefetch-process-later
-    // shape as the batched hot path (DESIGN.md §9); a handle burst can be
-    // prefetched long before it is touched, a copy arrives only when the
-    // pop itself pays for the transfer.
-    tx.try_pop_batch(done_buf, 16);
-    call_boundary();
-    for (std::size_t i = 0; i < 16; ++i) pool.prefetch(done_buf[i]);
-    data.try_pop_batch(tmp, 16);
-    call_boundary();
-    tx.try_push_batch(tmp, 16);
-    call_boundary();
-    rx.try_pop_batch(tmp, 16);
-    call_boundary();
-    data.try_push_batch(tmp, 16);
-    call_boundary();
-    fill16();
-    rx.try_push_batch(buf, 16);
-    call_boundary();
-    for (std::size_t i = 0; i < 16; ++i) {  // read + free once at TX
-      acc += pool.at(done_buf[i]).id;
-      pool.release(done_buf[i]);
-    }
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(acc, std::memory_order_relaxed);
-  return static_cast<double>(frames) * 1e3 / elapsed;
-}
-
-/// `shards` interleaved handle chains sharing ONE pool, as LvrmSystem's
-/// dispatcher shards do. Single-threaded interleave (the simulated cores
-/// share the host thread), so this measures that the shared free list and
-/// pool bookkeeping do not drag down aggregate throughput as shards grow.
-double descriptor_e2e_mops(std::uint64_t frames, int shards) {
-  struct Chain {
-    queue::SpscRing<net::FrameHandle> rx{64};
-    queue::SpscRing<net::FrameHandle> data{64};
-    queue::SpscRing<net::FrameHandle> tx{64};
-  };
-  queue::ShmArena arena;
-  net::FramePool pool(arena, 64 * static_cast<std::size_t>(shards));
-  std::vector<std::unique_ptr<Chain>> chains;
-  for (int s = 0; s < shards; ++s) chains.push_back(std::make_unique<Chain>());
-  const net::FrameMeta proto = make_flow_frame(1, 0);
-  net::FrameHandle buf[16];
-  net::FrameHandle tmp[16];
-  std::uint64_t acc = 0;
-  const double t0 = now_ns();
-  for (std::uint64_t done = 0; done < frames;) {
-    for (int s = 0; s < shards && done < frames; ++s, done += 16) {
-      Chain& ch = *chains[static_cast<std::size_t>(s)];
-      for (std::size_t i = 0; i < 16; ++i) {
-        buf[i] = pool.acquire();
-        net::FrameMeta& m = pool.at(buf[i]);
-        m = proto;
-        m.id = done + i;
-      }
-      ch.rx.try_push_batch(buf, 16);
-      call_boundary();
-      ch.rx.try_pop_batch(tmp, 16);
-      call_boundary();
-      ch.data.try_push_batch(tmp, 16);
-      call_boundary();
-      ch.data.try_pop_batch(tmp, 16);
-      call_boundary();
-      ch.tx.try_push_batch(tmp, 16);
-      call_boundary();
-      ch.tx.try_pop_batch(tmp, 16);
-      call_boundary();
-      for (std::size_t i = 0; i < 16; ++i) pool.prefetch(tmp[i]);
-      for (std::size_t i = 0; i < 16; ++i) {
-        acc += pool.at(tmp[i]).id;
-        pool.release(tmp[i]);
-      }
-    }
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(acc, std::memory_order_relaxed);
-  return static_cast<double>(frames) * 1e3 / elapsed;
 }
 
 // --- padding: real two-thread SPSC transfer --------------------------------------
@@ -916,7 +615,6 @@ int main(int argc, char** argv) {
   const double tolerance = cli.get_double("tolerance", 0.25);
 
   const std::uint64_t kRingItems = quick ? 400'000 : 4'000'000;
-  const std::uint64_t kServeItems = quick ? 200'000 : 2'000'000;
   const std::uint64_t kPollFrames = quick ? 50'000 : 400'000;
   const std::uint64_t kDispatchFrames = quick ? 80'000 : 800'000;
   const std::uint64_t kCalibIters = 2'000'000;
@@ -934,11 +632,6 @@ int main(int argc, char** argv) {
       median_ns(reps, [&] { return ring_mops(mc, kRingItems, 1); });
   const double mc_batch =
       median_ns(reps, [&] { return ring_mops(mc, kRingItems, 16); });
-
-  const double boxed =
-      median_ns(reps, [&] { return serve_boxed_ns(kServeItems); });
-  const double unboxed =
-      median_ns(reps, [&] { return serve_unboxed_ns(kServeItems); });
 
   // Pair each poll-overhead rep with a calibration sample taken immediately
   // before it: on a shared box the machine speed drifts over the run, so a
@@ -966,24 +659,6 @@ int main(int argc, char** argv) {
       median_ns(reps, [&] { return dispatch_ns(kDispatchFrames, false); });
   const double disp_batch =
       median_ns(reps, [&] { return dispatch_ns(kDispatchFrames, true); });
-
-  // Descriptor-passing data path (DESIGN.md §12): per-hop and end-to-end
-  // chain comparisons, copy vs handle representation. Best-of sampling:
-  // these keys feed speedup ratios, and a single noisy-low handle sample
-  // against a noisy-high copy sample would misreport the representation
-  // difference the section exists to measure.
-  const double desc_hop_copy = best_min(
-      reps, [&] { return descriptor_hop_copy_ns(kRingItems); });
-  const double desc_hop_handle = best_min(
-      reps, [&] { return descriptor_hop_handle_ns(kRingItems); });
-  const double desc_chain_copy = best_max(
-      reps, [&] { return descriptor_chain_copy_mops(kRingItems); });
-  const double desc_chain_handle = best_max(
-      reps, [&] { return descriptor_chain_handle_mops(kRingItems); });
-  const double desc_e2e_1 =
-      best_max(reps, [&] { return descriptor_e2e_mops(kRingItems, 1); });
-  const double desc_e2e_2 =
-      best_max(reps, [&] { return descriptor_e2e_mops(kRingItems, 2); });
 
   // Two-thread false-sharing sentinel for the alignas(kCacheLine) ring
   // index separation.
@@ -1126,57 +801,6 @@ int main(int argc, char** argv) {
                          static_cast<double>(over.offered)
                    : 0.0;
 
-  // Flow-table generations (DESIGN.md §14, Exp 7 in miniature): host ns per
-  // hit lookup on the classic linear-probe table vs the v2 bucketed-cuckoo
-  // table at a fixed resident-flow count, plus the v2 steady insert cost
-  // with incremental-growth work amortized in. Additive keys; the deep
-  // scaling sweep (1M/4M/16M, mixes, pause percentiles) lives in
-  // bench_exp7_flowscale.
-  const std::size_t ft_n = quick ? 50'000 : 500'000;
-  const std::size_t ft_ops = quick ? 100'000 : 400'000;
-  auto ft_tuple = [](std::uint32_t i) {
-    net::FiveTuple t;
-    t.src_ip = 0x0A000000u + i;
-    t.dst_ip = 0x0AC80001u;
-    t.src_port = static_cast<std::uint16_t>(1024 + (i & 0x3FFF));
-    t.dst_port = 443;
-    t.protocol = 6;
-    return t;
-  };
-  Rng ft_rng(42);
-  std::vector<std::uint32_t> ft_order(ft_ops);
-  for (auto& o : ft_order)
-    o = static_cast<std::uint32_t>(ft_rng.uniform(ft_n));
-  net::FlowTable ft_v1(ft_n, sec(30));
-  net::FlowTableV2 ft_v2(4096, sec(30));
-  for (std::uint32_t i = 0; i < ft_n; ++i) {
-    ft_v1.insert(ft_tuple(i), static_cast<int>(i & 7), 0);
-    ft_v2.insert(ft_tuple(i), static_cast<int>(i & 7), 0);
-  }
-  const double ft_v1_lookup = best_min(3, [&] {
-    std::uint64_t sink = 0;
-    const double t0 = now_ns();
-    for (const std::uint32_t o : ft_order)
-      sink += static_cast<std::uint64_t>(ft_v1.lookup(ft_tuple(o), 1).value_or(0));
-    g_guard += sink;
-    return (now_ns() - t0) / static_cast<double>(ft_ops);
-  });
-  const double ft_v2_lookup = best_min(3, [&] {
-    std::uint64_t sink = 0;
-    const double t0 = now_ns();
-    for (const std::uint32_t o : ft_order)
-      sink += static_cast<std::uint64_t>(ft_v2.lookup(ft_tuple(o), 1).value_or(0));
-    g_guard += sink;
-    return (now_ns() - t0) / static_cast<double>(ft_ops);
-  });
-  std::uint32_t ft_next = static_cast<std::uint32_t>(ft_n);
-  const double ft_v2_insert = best_min(3, [&] {
-    const double t0 = now_ns();
-    for (std::size_t i = 0; i < ft_ops; ++i)
-      ft_v2.insert(ft_tuple(ft_next++), static_cast<int>(i & 7), 1);
-    return (now_ns() - t0) / static_cast<double>(ft_ops);
-  });
-
   // MPMC link (DESIGN.md §17): same single-thread templates as the SPSC
   // block so the per-op cost of the CAS-claim/ordered-publish protocol is
   // directly comparable, plus real multi-producer transfers.
@@ -1260,9 +884,6 @@ int main(int argc, char** argv) {
       << "  \"ring_mc_batch1_mops\": " << mc_single << ",\n"
       << "  \"ring_mc_batch16_mops\": " << mc_batch << ",\n"
       << "  \"ring_mc_batch_speedup\": " << mc_batch / mc_single << ",\n"
-      << "  \"serve_boxed_ns\": " << boxed << ",\n"
-      << "  \"serve_unboxed_ns\": " << unboxed << ",\n"
-      << "  \"serve_speedup\": " << boxed / unboxed << ",\n"
       << "  \"poll_per_item_host_ns\": " << poll_item << ",\n"
       << "  \"poll_coalesced_host_ns\": " << poll_coalesced << ",\n"
       << "  \"poll_coalesced_speedup\": " << poll_item / poll_coalesced
@@ -1270,16 +891,6 @@ int main(int argc, char** argv) {
       << "  \"dispatch_per_frame_ns\": " << disp_frame << ",\n"
       << "  \"dispatch_batch_ns\": " << disp_batch << ",\n"
       << "  \"dispatch_batch_speedup\": " << disp_frame / disp_batch << ",\n"
-      << "  \"descriptor_hop_copy_ns\": " << desc_hop_copy << ",\n"
-      << "  \"descriptor_hop_handle_ns\": " << desc_hop_handle << ",\n"
-      << "  \"descriptor_hop_speedup\": " << desc_hop_copy / desc_hop_handle
-      << ",\n"
-      << "  \"descriptor_chain_copy_mops\": " << desc_chain_copy << ",\n"
-      << "  \"descriptor_chain_handle_mops\": " << desc_chain_handle << ",\n"
-      << "  \"descriptor_chain_speedup\": "
-      << desc_chain_handle / desc_chain_copy << ",\n"
-      << "  \"descriptor_e2e_1shard_mops\": " << desc_e2e_1 << ",\n"
-      << "  \"descriptor_e2e_2shard_mops\": " << desc_e2e_2 << ",\n"
       << "  \"ring_padding_mops\": " << pad_mops << ",\n"
       << "  \"shard_scaling_1_kfps\": " << shard1.delivered_fps / 1e3 << ",\n"
       << "  \"shard_scaling_2_kfps\": " << shard2.delivered_fps / 1e3 << ",\n"
@@ -1298,11 +909,6 @@ int main(int argc, char** argv) {
       << static_cast<double>(over.lost + drain.lost) << ",\n"
       << "  \"overload_drain_migrated\": "
       << static_cast<double>(drain.drain_migrated) << ",\n"
-      << "  \"flowtable_v1_lookup_ns\": " << ft_v1_lookup << ",\n"
-      << "  \"flowtable_v2_lookup_ns\": " << ft_v2_lookup << ",\n"
-      << "  \"flowtable_lookup_speedup\": " << ft_v1_lookup / ft_v2_lookup
-      << ",\n"
-      << "  \"flowtable_v2_insert_ns\": " << ft_v2_insert << ",\n"
       << "  \"mpmc_classic_mops\": " << mpmc_classic << ",\n"
       << "  \"mpmc_batch1_mops\": " << mpmc_single << ",\n"
       << "  \"mpmc_batch16_mops\": " << mpmc_batch << ",\n"
@@ -1360,19 +966,10 @@ int main(int argc, char** argv) {
               spsc_single, spsc_batch, spsc_batch / spsc_single);
   std::printf("  McRing   batch 1/16   : %.1f / %.1f Mops (%.2fx)\n",
               mc_single, mc_batch, mc_batch / mc_single);
-  std::printf("  serve boxed/unboxed   : %.1f / %.1f ns (%.2fx)\n", boxed,
-              unboxed, boxed / unboxed);
   std::printf("  poll item/coalesced   : %.1f / %.1f host ns/frame (%.2fx)\n",
               poll_item, poll_coalesced, poll_item / poll_coalesced);
   std::printf("  dispatch frame/batch  : %.1f / %.1f ns (%.2fx)\n", disp_frame,
               disp_batch, disp_frame / disp_batch);
-  std::printf("  desc hop copy/handle  : %.1f / %.1f ns (%.2fx)\n",
-              desc_hop_copy, desc_hop_handle, desc_hop_copy / desc_hop_handle);
-  std::printf("  desc chain copy/handle: %.1f / %.1f Mops (%.2fx)\n",
-              desc_chain_copy, desc_chain_handle,
-              desc_chain_handle / desc_chain_copy);
-  std::printf("  desc e2e 1/2 shards   : %.1f / %.1f Mops\n", desc_e2e_1,
-              desc_e2e_2);
   std::printf("  ring padding 2-thread : %.1f Mops\n", pad_mops);
   std::printf("  MpmcLink classic      : %.1f Mops\n", mpmc_classic);
   std::printf("  MpmcLink batch 1/16   : %.1f / %.1f Mops (%.2fx)\n",
@@ -1393,11 +990,6 @@ int main(int argc, char** argv) {
       fanin_mesh_8x16, fanin_fab_8x16, fanin_fab_8x16 / fanin_mesh_8x16);
   std::printf("  steal hit-rate (sim)  : %.3f of delivered frames\n",
               steal_hitrate);
-  std::printf(
-      "  flowtable v1/v2 hit   : %.1f / %.1f ns (%.2fx) at %zu flows; v2 "
-      "insert %.1f ns\n",
-      ft_v1_lookup, ft_v2_lookup, ft_v1_lookup / ft_v2_lookup, ft_n,
-      ft_v2_insert);
   std::printf("  telemetry off/on      : %.1f / %.1f host ns/frame (%+.2f%%)\n",
               tel_off, tel_on, 100.0 * tel_overhead);
   std::printf("  tracing micro off/on  : %.1f / %.1f host ns/frame (+%.1f ns)\n",

@@ -160,11 +160,12 @@ struct LvrmConfig {
   /// dispatch ablation bench.
   std::size_t poll_batch = sim::costs::kPollBatch;
 
-  /// Batched hot path (DESIGN.md §9): LVRM's RX and TX inputs drain their
-  /// poll_batch burst as ONE coalesced core event — batch dispatch collapses
-  /// repeated flow-table probes within the burst, and all frames of a burst
-  /// complete together at its summed-cost completion time. Off by default:
-  /// the classic per-frame serve order is the reference behavior every
+  /// Batched hot path (DESIGN.md §9): sets the burst size of the one serve
+  /// path of LVRM's RX and TX inputs. On, each serve drains up to
+  /// poll_batch frames as ONE core event — batch dispatch collapses repeated
+  /// flow-table probes within the burst, and all frames of a burst complete
+  /// together at its summed-cost completion time. Off (the default), each
+  /// serve is a burst of one frame: the per-frame serve order every
   /// experiment is calibrated against (bit-identical results).
   bool batched_hot_path = false;
 

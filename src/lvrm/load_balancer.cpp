@@ -101,38 +101,43 @@ std::span<const VriView> Dispatcher::healthy_pool(
                                : std::span<const VriView>(pool_scratch_);
 }
 
+int Dispatcher::flow_pick(const net::FiveTuple& tuple,
+                          std::span<const VriView> vris, Nanos now,
+                          bool& hit) {
+  ++flow_probes_;
+  if (const auto pinned = flows_.lookup(tuple, now)) {
+    // "if the entry is found and the VRI of the entry is valid". The pin
+    // is validated against the FULL active set, not the healthy pool: a
+    // suspect VRI only loses NEW flows — diverting a pinned flow while
+    // its older frames still sit in the suspect's (slow) queue would
+    // reorder it through a faster sibling. If the suspicion is confirmed,
+    // the reset-free drain migrates queue and pins together (§13).
+    for (const VriView& v : vris) {
+      if (v.index == *pinned) {
+        hit = true;
+        ++flow_hits_;
+        return *pinned;
+      }
+    }
+    // Pinned VRI no longer valid (destroyed): re-balance.
+    LVRM_CLOG(kDispatch, kTrace)
+        << "stale flow pin vri=" << *pinned << ", re-balancing";
+  }
+  // The healthy pool is only consulted when the inner scheme actually picks
+  // — a pinned flow hit never needs it.
+  hit = false;
+  const int chosen = inner_->pick(healthy_pool(vris));
+  flows_.insert(tuple, chosen, now);  // "VRI of added entry <- ..."
+  return chosen;
+}
+
 int Dispatcher::dispatch(const net::FrameMeta& frame,
                          std::span<const VriView> vris, Nanos now) {
-  last_flow_hit_ = false;
   ++decisions_;
-  // The healthy pool is only consulted when the inner scheme actually picks
-  // — a pinned flow hit never needs it, so it is computed lazily below.
-
-  if (granularity_ == BalancerGranularity::kFlow) {
-    const auto tuple = net::FiveTuple::from_frame(frame);
-    ++flow_probes_;
-    if (const auto pinned = flows_.lookup(tuple, now)) {
-      // "if the entry is found and the VRI of the entry is valid". The pin
-      // is validated against the FULL active set, not the healthy pool: a
-      // suspect VRI only loses NEW flows — diverting a pinned flow while
-      // its older frames still sit in the suspect's (slow) queue would
-      // reorder it through a faster sibling. If the suspicion is confirmed,
-      // the reset-free drain migrates queue and pins together (§13).
-      for (const VriView& v : vris) {
-        if (v.index == *pinned) {
-          last_flow_hit_ = true;
-          ++flow_hits_;
-          return *pinned;
-        }
-      }
-      // Pinned VRI no longer valid (destroyed): re-balance.
-      LVRM_CLOG(kDispatch, kTrace)
-          << "stale flow pin vri=" << *pinned << ", re-balancing";
-    }
-    const int chosen = inner_->pick(healthy_pool(vris));
-    flows_.insert(tuple, chosen, now);  // "VRI of added entry <- ..."
-    return chosen;
-  }
+  if (granularity_ == BalancerGranularity::kFlow)
+    return flow_pick(net::FiveTuple::from_frame(frame), vris, now,
+                     last_flow_hit_);
+  last_flow_hit_ = false;
   return inner_->pick(healthy_pool(vris));
 }
 
@@ -144,7 +149,7 @@ Nanos Dispatcher::dispatch_batch(std::span<net::FrameMeta* const> frames,
 
   if (granularity_ != BalancerGranularity::kFlow) {
     // Frame mode has no per-flow state to amortize: one inner pick each,
-    // exactly as the per-frame path would do.
+    // exactly as dispatch() would do.
     const std::span<const VriView> pool = healthy_pool(vris);
     Nanos cost = 0;
     for (net::FrameMeta* f : frames) {
@@ -153,8 +158,6 @@ Nanos Dispatcher::dispatch_batch(std::span<net::FrameMeta* const> frames,
     }
     return cost;
   }
-  // Flow mode computes the pool lazily: a burst that is all pinned hits —
-  // the steady state of a flow-heavy workload — never filters at all.
 
   // Flow mode: order the burst by 5-tuple (stable via the original index)
   // so frames of one flow form a contiguous run, then probe the flow table
@@ -183,26 +186,10 @@ Nanos Dispatcher::dispatch_batch(std::span<net::FrameMeta* const> frames,
            net::FiveTuple::from_frame(*frames[order_scratch_[j]]) == tuple)
       ++j;
     // One probe + times() refresh for the whole run.
-    cost += costs::kFlowTableLookup + costs::kFlowTimestampSyscall;
-    ++flow_probes_;
-    int chosen = -1;
-    if (const auto pinned = flows_.lookup(tuple, now)) {
-      // Full set, not the healthy pool: see dispatch() — suspect VRIs keep
-      // their pinned flows to preserve per-flow FIFO order.
-      for (const VriView& v : vris) {
-        if (v.index == *pinned) {
-          chosen = *pinned;
-          last_flow_hit_ = true;
-          ++flow_hits_;
-          break;
-        }
-      }
-    }
-    if (chosen < 0) {
-      chosen = inner_->pick(healthy_pool(vris));
-      flows_.insert(tuple, chosen, now);
-      cost += inner_->decision_cost(vris.size());
-    }
+    bool hit = false;
+    const int chosen = flow_pick(tuple, vris, now, hit);
+    cost += decision_cost(vris.size(), hit);
+    last_flow_hit_ |= hit;
     for (std::size_t k = i; k < j; ++k)
       frames[order_scratch_[k]]->dispatch_vri =
           static_cast<std::int16_t>(chosen);

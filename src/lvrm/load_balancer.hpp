@@ -172,6 +172,11 @@ class Dispatcher {
   /// back to the full set if none remain).
   std::span<const VriView> healthy_pool(std::span<const VriView> vris);
 
+  /// Flow-mode decision for one 5-tuple, shared by both dispatch paths: a
+  /// pin valid in the full set (`hit`), else a healthy-pool pick, pinned.
+  int flow_pick(const net::FiveTuple& tuple, std::span<const VriView> vris,
+                Nanos now, bool& hit);
+
   std::unique_ptr<LoadBalancer> inner_;
   BalancerGranularity granularity_;
   net::FlowTable flows_;

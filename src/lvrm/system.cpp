@@ -340,23 +340,20 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
 
   // The RX ring and each VRI's outgoing queue are drained in bursts of
   // poll_batch (PF_RING-style batched polls); control queues are serviced
-  // per item at higher priority. With the batched hot path the burst is
-  // coalesced into one core event and dispatched through
-  // Dispatcher::dispatch_batch (DESIGN.md §9). `shards_` is never resized
-  // after construction, so the captured shard pointers stay valid.
+  // per item at higher priority. The batched hot path serves a burst as one
+  // core event, else one frame per event; RX is priced by rx_cost_batch
+  // either way (DESIGN.md §9). `shards_` is never resized after
+  // construction, so the captured shard pointers stay valid.
   for (DispatchShard& shard : shards_) {
     DispatchShard* sh = &shard;
     shard.server->add_input(
-        *shard.rx_ring, /*priority=*/1,
-        [this, sh](net::FrameMeta& f) { return rx_cost(f, *sh); },
+        *shard.rx_ring, /*priority=*/1, /*cost=*/{},
         [this](net::FrameMeta&& f) { rx_sink(std::move(f)); },
         shard.adapter->recv_category(), config_.poll_batch,
         /*coalesce=*/config_.batched_hot_path,
-        config_.batched_hot_path
-            ? FrameServer::BatchCostFn([this, sh](std::span<net::FrameMeta> fs) {
-                return rx_cost_batch(fs, *sh);
-              })
-            : FrameServer::BatchCostFn{});
+        [this, sh](std::span<net::FrameMeta> fs) {
+          return rx_cost_batch(fs, *sh);
+        });
   }
 
   // §17 MPMC fabric: TX is ONE per-home-shard MPMC link all of that shard's
@@ -379,19 +376,9 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
     shard.tx_steal_input = shard.server->add_input(
         *shard.tx_steal_q, /*priority=*/1,
         [this, sh](net::FrameMeta& f) {
-          Nanos cost = costs::kDequeueCost + sh->adapter->send_cost(f);
-          Nanos user_part = costs::kDequeueCost;
           // The producer is the victim VRI's core, not a dispatcher's.
           const VriSlot* victim = steal_victim_slot(f);
-          if (victim && cross_socket(victim->core_id, sh->core_id)) {
-            cost += costs::kCrossSocketQueueOp;
-            user_part += costs::kCrossSocketQueueOp;
-          }
-          if (sh->adapter->send_category() != CostCategory::kUser)
-            core(sh->core_id)
-                .reclassify(sh->adapter->send_category(),
-                            CostCategory::kUser, user_part);
-          return cost;
+          return tx_cost(f, *sh, victim ? victim->core_id : sim::kNoCore);
         },
         [this, sh](net::FrameMeta&& f) {
           f.gw_out_at = sim_.now();
@@ -641,17 +628,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
     s->data_out_input = home.server->add_input(
         *s->data_out, /*priority=*/1,
         [this, s, &home](net::FrameMeta& f) {
-          Nanos cost = costs::kDequeueCost + home.adapter->send_cost(f);
-          Nanos user_part = costs::kDequeueCost;
-          if (cross_socket(s->core_id, home.core_id)) {
-            cost += costs::kCrossSocketQueueOp;
-            user_part += costs::kCrossSocketQueueOp;
-          }
-          if (home.adapter->send_category() != CostCategory::kUser)
-            core(home.core_id)
-                .reclassify(home.adapter->send_category(),
-                            CostCategory::kUser, user_part);
-          return cost;
+          return tx_cost(f, home, s->core_id);
         },
         [this, v](net::FrameMeta&& f) {
           // TX completion: the frame leaves the IPC plane here. Sprayed
@@ -745,73 +722,11 @@ LvrmSystem::VrState& LvrmSystem::classify(net::FrameMeta& frame) {
   return *vrs_.front();
 }
 
-Nanos LvrmSystem::rx_cost(net::FrameMeta& frame, DispatchShard& shard) {
-  VrState& vr = classify(frame);
-  const Nanos now = sim_.now();
-  // §15: the RX-serve stamp completes the gw_in -> rx -> enq -> svc -> tx
-  // hop timeline; one gated store per frame, never read by decision logic.
-  if (tracer_) frame.obs_rx_at = now;
-  if (vr.last_arrival >= 0) {
-    const Nanos gap = now - vr.last_arrival;
-    if (gap > 0) vr.arrival_gap.update(static_cast<double>(gap));
-  }
-  vr.last_arrival = now;
-  ++vr.frames_in;
-
-  Nanos cost = shard.adapter->recv_cost(frame) + costs::kClassifyCost +
-               costs::kDispatchFixed;
-  Nanos user_part = costs::kClassifyCost + costs::kDispatchFixed;
-
-  // Fig 3.4 "estimate: called upon receipt of a packet": each VRI adapter
-  // observes its current queue, then Fig 3.3's "get estimate" feeds JSQ.
-  std::vector<VriView> views;
-  views.reserve(vr.active_order.size());
-  for (int idx : vr.active_order) {
-    VriSlot& s = *vr.slots[static_cast<std::size_t>(idx)];
-    s.estimator->on_packet_observed(s.data_in->size(), now);
-    views.push_back(VriView{idx, s.estimator->load_at(now), s.suspect});
-  }
-  if (views.empty()) {
-    frame.dispatch_vri = -1;
-    return cost;
-  }
-
-  Dispatcher& disp = *vr.dispatchers[static_cast<std::size_t>(shard.id)];
-  int chosen = disp.dispatch(frame, views, now);
-  // §16: a detected elephant overrides its pin with a per-frame spray pick.
-  if (replication_)
-    chosen = maybe_spray(vr, shard, frame, views, chosen, now);
-  frame.dispatch_vri = static_cast<std::int16_t>(chosen);
-  const Nanos decision =
-      disp.decision_cost(views.size(), disp.last_was_flow_hit());
-  cost += decision + costs::kEnqueueCost;
-  user_part += decision + costs::kEnqueueCost;
-
-  const VriSlot& target = *vr.slots[static_cast<std::size_t>(chosen)];
-  if (cross_socket(target.core_id, shard.core_id)) {
-    cost += costs::kCrossSocketQueueOp;
-    user_part += costs::kCrossSocketQueueOp;
-  }
-  if (now < target.cold_until) {
-    cost += costs::kColdCacheSurcharge;
-    user_part += costs::kColdCacheSurcharge;
-  }
-
-  // The whole task is charged to the adapter's recv category; move the
-  // dispatch work to user time for the Fig 4.3 breakdown.
-  if (shard.adapter->recv_category() != CostCategory::kUser)
-    core(shard.core_id)
-        .reclassify(shard.adapter->recv_category(), CostCategory::kUser,
-                    user_part);
-  return cost;
-}
-
 Nanos LvrmSystem::rx_cost_batch(std::span<net::FrameMeta> frames,
                                 DispatchShard& shard) {
-  // Batched-hot-path equivalent of rx_cost over a whole drained burst
-  // (DESIGN.md §9): classification and adapter receive stay per-frame, the
-  // load-estimator observation and VriView construction happen once per VR
-  // per burst (the burst is served at one instant), and the dispatch
+  // RX cost of one served burst (DESIGN.md §9). Classification and adapter
+  // receive stay per-frame; the load-estimator observation and VriView
+  // construction happen once per VR per burst (served at one instant); the
   // decisions go through Dispatcher::dispatch_batch so same-flow frames
   // share one flow-table probe.
   const Nanos now = sim_.now();
@@ -822,6 +737,8 @@ Nanos LvrmSystem::rx_cost_batch(std::span<net::FrameMeta> frames,
   for (auto& g : rx_groups_) g.clear();
 
   for (net::FrameMeta& f : frames) {
+    // §15: the RX-serve stamp completes the gw_in -> rx -> enq -> svc -> tx
+    // hop timeline; one gated store per frame, never read by decision logic.
     if (tracer_) f.obs_rx_at = now;
     VrState& vr = classify(f);
     if (vr.last_arrival >= 0) {
@@ -841,6 +758,8 @@ Nanos LvrmSystem::rx_cost_batch(std::span<net::FrameMeta> frames,
     if (group.empty()) continue;
     VrState& vr = *vrs_[vid];
 
+    // Fig 3.4 "estimate: called upon receipt of a packet": each VRI adapter
+    // observes its current queue, then Fig 3.3's "get estimate" feeds JSQ.
     views_scratch_.clear();
     for (int idx : vr.active_order) {
       VriSlot& s = *vr.slots[static_cast<std::size_t>(idx)];
@@ -884,6 +803,8 @@ Nanos LvrmSystem::rx_cost_batch(std::span<net::FrameMeta> frames,
     }
   }
 
+  // The whole task is charged to the adapter's recv category; move the
+  // dispatch work to user time for the Fig 4.3 breakdown.
   if (shard.adapter->recv_category() != CostCategory::kUser)
     core(shard.core_id)
         .reclassify(shard.adapter->recv_category(), CostCategory::kUser,
@@ -1010,7 +931,7 @@ bool LvrmSystem::in_subset(const net::FrameMeta& f, double rate) const {
 }
 
 bool LvrmSystem::admission_reject(net::FrameMeta& frame) {
-  // classify() is idempotent (rx_cost re-runs it on the admitted frames).
+  // classify() is idempotent (rx_cost_batch re-runs it on admitted frames).
   VrState& vr = classify(frame);
   if (vr.level != OverloadLevel::kAdmission) return false;
   // The gate can be the only code still seeing this VR's frames (everything
@@ -1403,6 +1324,22 @@ std::size_t LvrmSystem::relay_deltas(VrState& vr, VriSlot& slot) {
     }
   }
   return drained;
+}
+
+Nanos LvrmSystem::tx_cost(const net::FrameMeta& f, DispatchShard& shard,
+                          sim::CoreId producer_core) {
+  Nanos cost = costs::kDequeueCost + shard.adapter->send_cost(f);
+  Nanos user_part = costs::kDequeueCost;
+  if (cross_socket(producer_core, shard.core_id)) {
+    cost += costs::kCrossSocketQueueOp;
+    user_part += costs::kCrossSocketQueueOp;
+  }
+  // Fig 4.3 breakdown: the dequeue (and cross-socket op) is user time.
+  if (shard.adapter->send_category() != CostCategory::kUser)
+    core(shard.core_id)
+        .reclassify(shard.adapter->send_category(), CostCategory::kUser,
+                    user_part);
+  return cost;
 }
 
 void LvrmSystem::finish_tx(VrState& vr, net::FrameMeta&& f) {

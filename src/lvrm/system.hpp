@@ -404,8 +404,11 @@ class LvrmSystem {
   }
 
   VrState& classify(net::FrameMeta& frame);
-  Nanos rx_cost(net::FrameMeta& frame, DispatchShard& shard);
   Nanos rx_cost_batch(std::span<net::FrameMeta> frames, DispatchShard& shard);
+  /// TX cost of one frame on `shard`; `producer_core` filled its queue (the
+  /// slot's core, or a steal victim's; kNoCore when unknown).
+  Nanos tx_cost(const net::FrameMeta& f, DispatchShard& shard,
+                sim::CoreId producer_core);
   void rx_sink(net::FrameMeta&& frame);
   void maybe_allocate();
   void reap_crashed();
@@ -582,8 +585,8 @@ class LvrmSystem {
   int admission_active_ = 0;
   std::uint64_t burst_seq_ = 0;  // synthetic overload-burst frame ids
 
-  // Batched-hot-path scratch (reused per burst; no allocation after warm-up):
-  // per-VR pointer groups of the current RX burst, and the VriView set.
+  // RX scratch (reused per burst; no allocation after warm-up): per-VR
+  // pointer groups of the current RX burst, and the VriView set.
   std::vector<std::vector<net::FrameMeta*>> rx_groups_;
   std::vector<VriView> views_scratch_;
 

@@ -2,26 +2,30 @@
 //
 // Both LVRM and every VRI are modelled as PollServers: a loop pinned to one
 // core that repeatedly (1) finds the highest-priority non-empty input queue,
-// (2) dequeues one item, (3) spends its service cost on the core, (4) hands
-// the item to the input's sink. This mirrors the thesis' non-blocking poll
-// loops: control queues are checked before data queues (Sec 2.1), and within
-// a priority class inputs are scanned round-robin so e.g. the TX queues of
-// many VRIs cannot be starved by a hot RX ring.
+// (2) dequeues a burst, (3) spends its service cost on the core as one
+// event, (4) hands each item to the input's sink. This mirrors the thesis'
+// non-blocking poll loops: control queues are checked before data queues
+// (Sec 2.1), and within a priority class inputs are scanned round-robin so
+// e.g. the TX queues of many VRIs cannot be starved by a hot RX ring.
 //
-// Hot-path memory model (DESIGN.md §9): serving an item performs no heap
-// allocation. The in-service item lives in a member slot and the completion
-// callback captures only `this`, which Core::run stores inline in its event
-// slot (sim::Callback), so the simulated host overhead of a frame is not
-// polluted by allocator noise. Input selection consults per-priority
-// non-empty hints instead of scanning every queue: a control (priority 0)
-// input with pending work is found without ever touching the data queues.
+// There is one serve path (DESIGN.md §9). A coalesced input's burst is up to
+// its `batch` items; any other input's burst is one item, and its `batch`
+// instead lets the loop stay on that input for that many consecutive serves.
+// A per-item serve is therefore exactly a coalesced burst of one.
+//
+// Hot-path memory model: serving performs no heap allocation. The burst
+// lives in a reused member buffer and the completion callback captures only
+// `this`, which Core::run stores inline in its event slot (sim::Callback),
+// so the simulated host overhead of a frame is not polluted by allocator
+// noise. Input selection consults per-priority non-empty hints instead of
+// scanning every queue: a control (priority 0) input with pending work is
+// found without ever touching the data queues.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -78,11 +82,12 @@ class PollServer {
   /// loops read NIC rings in bursts) before re-scanning priorities.
   ///
   /// With `coalesce` set, the burst is instead drained up-front and served
-  /// as ONE core event: the costs of all drained items (or `batch_cost` of
-  /// the whole span, when provided) are summed and charged once, and every
-  /// sink fires at the batch completion time in FIFO order. Items that
-  /// arrive after the drain wait for the next batch — a coalesced burst is
-  /// fixed at pick time. Returns the input index.
+  /// as ONE core event: the costs of all drained items are summed and
+  /// charged once, and every sink fires at the batch completion time in
+  /// FIFO order. Items that arrive after the drain wait for the next batch —
+  /// a coalesced burst is fixed at pick time. Without `coalesce` each serve
+  /// is a burst of one item. Either way `batch_cost`, when provided, prices
+  /// the drained span instead of `cost` per item. Returns the input index.
   std::size_t add_input(BoundedQueue<T>& q, int priority, CostFn cost,
                         Sink sink, CostCategory category = CostCategory::kUser,
                         std::size_t batch = 1, bool coalesce = false,
@@ -143,9 +148,9 @@ class PollServer {
   bool busy() const { return serving_; }
 
   // Telemetry accessors (plain counters; read at snapshot time only).
-  /// Core events started — classic serves plus coalesced batch serves.
+  /// Core events started: one per serve, whatever its burst size.
   std::uint64_t serve_events() const { return serve_events_; }
-  /// Coalesced batch serves, and items moved by them. batch_items() /
+  /// Serves of coalesced inputs, and items moved by them. batch_items() /
   /// batches() is the realized coalescing factor.
   std::uint64_t batches() const { return batches_; }
   std::uint64_t batch_items() const { return batch_items_; }
@@ -177,13 +182,12 @@ class PollServer {
     inputs_[idx].gate = std::move(gate);
   }
 
-  /// True while input `idx` is the one in service (classic item, coalesced
-  /// batch, or an unexhausted batch continuation). Stealing from a queue
-  /// its own server is mid-burst on would let the thief's frames overtake
-  /// the victim's in-service ones.
+  /// True while input `idx` is the one in service (a burst in flight, or an
+  /// unexhausted batch continuation). Stealing from a queue its own server
+  /// is mid-burst on would let the thief's frames overtake the victim's
+  /// in-service ones.
   bool serving_input(std::size_t idx) const {
-    return (serving_ && in_service_idx_ == idx) ||
-           (batch_remaining_ > 0 && current_input_ == idx);
+    return current_input_ == idx && (serving_ || batch_remaining_ > 0);
   }
 
   /// Re-arms the scheduler for input `idx` after its gate reopened (or
@@ -207,7 +211,7 @@ class PollServer {
       idx = pick_input();
       current_input_ = idx;
       // Coalesced inputs consume their whole burst in one serve; the
-      // item-by-item continuation applies only to the classic mode.
+      // item-by-item continuation applies only to per-item inputs.
       batch_remaining_ = (idx == kNoInput || inputs_[idx].coalesce)
                              ? 0
                              : inputs_[idx].batch - 1;
@@ -223,20 +227,7 @@ class PollServer {
       }
       return;
     }
-    Input& in = inputs_[idx];
-    if (in.coalesce) {
-      serve_batch(in);
-      return;
-    }
-    in_service_ = in.queue->pop();
-    Nanos cost = in.cost ? in.cost(*in_service_) : 0;
-    cost += oneshot_cost_;
-    oneshot_cost_ = 0;
-    serving_ = true;
-    ++serve_events_;
-    in_service_input_ = &in;
-    in_service_idx_ = idx;
-    core_->run(cost, in.category, owner_, [this] { complete_one(); });
+    serve(inputs_[idx]);
   }
 
  private:
@@ -341,26 +332,13 @@ class PollServer {
     return kNoInput;
   }
 
-  /// Classic completion: move the item out of the in-service slot before
-  /// invoking the sink, so a reentrant maybe_serve() from inside the sink
-  /// can safely refill the slot.
-  void complete_one() {
-    serving_ = false;
-    ++served_;
-    Input* in = in_service_input_;
-    T item = std::move(*in_service_);
-    in_service_.reset();
-    if (in->sink) in->sink(std::move(item));
-    maybe_serve();
-    notify_quiesced();
-  }
-
-  /// Coalesced serving: drain up to `in.batch` items now, charge their
-  /// summed (or batch-fn) cost as ONE core event — N event-queue insertions
-  /// collapse into 1 — and deliver every item at the completion time.
-  void serve_batch(Input& in) {
+  /// The one serve routine: drains a burst (up to `batch` items coalesced,
+  /// else one), charges its cost as ONE core event, and delivers every item
+  /// at the completion time.
+  void serve(Input& in) {
+    const std::size_t burst = in.coalesce ? in.batch : 1;
     batch_buf_.clear();
-    while (batch_buf_.size() < in.batch && !in.queue->empty())
+    while (batch_buf_.size() < burst && !in.queue->empty())
       batch_buf_.push_back(in.queue->pop());
     Nanos cost = 0;
     if (in.batch_cost) {
@@ -372,23 +350,24 @@ class PollServer {
     oneshot_cost_ = 0;
     serving_ = true;
     ++serve_events_;
-    ++batches_;
-    batch_items_ += batch_buf_.size();
-    in_service_input_ = &in;
-    in_service_idx_ = current_input_;
+    if (in.coalesce) {
+      ++batches_;
+      batch_items_ += batch_buf_.size();
+    }
     core_->run(cost, in.category, owner_, [this] { complete_batch(); });
   }
 
   void complete_batch() {
     serving_ = false;
-    Input* in = in_service_input_;
-    // Swap into the drain buffer first: a sink may push into one of our own
-    // inputs and reentrantly start the next batch, which refills batch_buf_.
-    sink_buf_.clear();
+    // current_input_ only moves on a pick, and no pick happens mid-serve.
+    const Input& in = inputs_[current_input_];
+    // Swap into the (empty) drain buffer first: a sink may push into one of
+    // our own inputs and reentrantly start the next serve, which refills
+    // batch_buf_.
     std::swap(sink_buf_, batch_buf_);
     served_ += sink_buf_.size();
-    if (in->sink)
-      for (T& item : sink_buf_) in->sink(std::move(item));
+    if (in.sink)
+      for (T& item : sink_buf_) in.sink(std::move(item));
     sink_buf_.clear();
     maybe_serve();
     notify_quiesced();
@@ -420,12 +399,8 @@ class PollServer {
   std::uint64_t serve_events_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t batch_items_ = 0;
-  // Zero-alloc serving state: the classic path parks the in-service item in
-  // `in_service_`; the coalesced path reuses `batch_buf_`/`sink_buf_`
-  // capacity across batches. No per-item heap allocation after warm-up.
-  std::optional<T> in_service_;
-  Input* in_service_input_ = nullptr;
-  std::size_t in_service_idx_ = kNoInput;
+  // Zero-alloc serving state: every serve reuses `batch_buf_`/`sink_buf_`
+  // capacity, so no per-item heap allocation happens after warm-up.
   IdleHook idle_hook_;
   bool in_idle_hook_ = false;
   std::function<void()> on_quiesced_;

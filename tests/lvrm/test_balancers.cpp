@@ -177,5 +177,67 @@ TEST(Dispatcher, FlowExpiryRebalancesAfterIdle) {
   EXPECT_EQ(d.dispatch(frame_for_flow(2), v, sec(10)), 0);
 }
 
+TEST(Dispatcher, OneFrameBatchMatchesDispatch) {
+  // A per-frame serve is a burst of one, so dispatch(f) and
+  // dispatch_batch({&f}) must be the same decision: same VRI, the same cost
+  // as decision_cost(n, last_was_flow_hit()), and the same counter bumps.
+  // Two dispatchers built alike walk one script, one path each.
+  for (const BalancerKind kind :
+       {BalancerKind::kJoinShortestQueue, BalancerKind::kRoundRobin,
+        BalancerKind::kRandom}) {
+    for (const BalancerGranularity gran :
+         {BalancerGranularity::kFrame, BalancerGranularity::kFlow}) {
+      SCOPED_TRACE(testing::Message() << "kind " << static_cast<int>(kind)
+                                      << " granularity "
+                                      << static_cast<int>(gran));
+      const bool flow = gran == BalancerGranularity::kFlow;
+      Dispatcher single(make_balancer(kind, 7), gran);
+      Dispatcher batch(make_balancer(kind, 7), gran);
+      Nanos now = 0;
+      auto step = [&](std::uint32_t flow_id, const std::vector<VriView>& v) {
+        net::FrameMeta f = frame_for_flow(flow_id);
+        const int want = single.dispatch(f, v, now);
+        const Nanos want_cost =
+            single.decision_cost(v.size(), single.last_was_flow_hit());
+        net::FrameMeta* const burst[] = {&f};
+        const Nanos cost = batch.dispatch_batch(burst, v, now);
+        ++now;
+        EXPECT_EQ(f.dispatch_vri, want);
+        EXPECT_EQ(cost, want_cost);
+        EXPECT_EQ(batch.last_was_flow_hit(), single.last_was_flow_hit());
+        EXPECT_EQ(batch.decisions(), single.decisions());
+        EXPECT_EQ(batch.flow_probes(), single.flow_probes());
+        EXPECT_EQ(batch.flow_hits(), single.flow_hits());
+        return want;
+      };
+
+      const int pin1 = step(1, views({3.0, 1.0, 2.0}));  // new flow
+      const int again = step(1, views({0.0, 9.0, 9.0}));  // pinned hit
+      if (flow) EXPECT_EQ(again, pin1);
+      step(2, views({9.0, 0.0, 9.0}));  // another new flow
+      // Stale pin: flow 1's VRI is no longer a candidate.
+      std::vector<VriView> without_pin;
+      for (const VriView& x : views({1.0, 2.0, 3.0}))
+        if (x.index != pin1) without_pin.push_back(x);
+      EXPECT_NE(step(1, without_pin), pin1);
+      // A suspect VRI gets no new flow.
+      auto suspect0 = views({0.0, 5.0, 3.0});
+      suspect0[0].suspect = true;
+      EXPECT_NE(step(3, suspect0), 0);
+      // A pinned flow keeps its VRI when that VRI turns suspect; a frame-mode
+      // pick steers away from it.
+      const int pin4 = step(4, views({0.0, 9.0, 9.0}));
+      auto pin_suspect = views({0.0, 9.0, 9.0});
+      pin_suspect[static_cast<std::size_t>(pin4)].suspect = true;
+      if (flow) {
+        EXPECT_EQ(step(4, pin_suspect), pin4);
+      } else {
+        EXPECT_NE(step(4, pin_suspect), pin4);
+      }
+      EXPECT_EQ(single.flow_hits(), flow ? 2u : 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lvrm

@@ -1,6 +1,7 @@
 // Tests for PollServer's per-input batching (burst draining of NIC rings).
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/poll_server.hpp"
@@ -91,6 +92,59 @@ TEST(PollServerBatch, RefillDuringBatchExtendsIt) {
   EXPECT_EQ(times[2], 30);  // served back-to-back as part of the same batch
 }
 
+// A per-item input is served as bursts of one through the same serve path
+// as a coalesced input. Its `batch` keeps the loop on the input for k
+// consecutive serves, one core event each, and none of them counts as a
+// coalesced batch.
+TEST(PollServerBatch, PerItemBatchServesOneItemPerEvent) {
+  Rig rig;
+  BoundedQueue<int> data(32);
+  BoundedQueue<int> control(32);
+  std::vector<std::pair<Nanos, int>> seen;
+  rig.server.add_input(data, /*priority=*/1,
+                       [](int& v) { return Nanos{10} + v; },
+                       [&](int&& v) { seen.emplace_back(rig.sim.now(), v); },
+                       CostCategory::kUser, /*batch=*/3);
+  rig.server.add_input(control, /*priority=*/0, [](int&) { return Nanos{5}; },
+                       [&](int&& v) { seen.emplace_back(rig.sim.now(), v); });
+  for (int i = 0; i < 5; ++i) data.push(i);
+  rig.server.start();
+  // Lands while item 1 is in service: it waits out the 3-item continuation.
+  rig.sim.at(15, [&control] { control.push(100); });
+  rig.sim.run_all();
+  const std::vector<std::pair<Nanos, int>> want{
+      {10, 0}, {21, 1}, {33, 2}, {38, 100}, {51, 3}, {65, 4}};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(rig.server.served(), 6u);
+  EXPECT_EQ(rig.server.serve_events(), 6u);
+  EXPECT_EQ(rig.server.batches(), 0u);
+  EXPECT_EQ(rig.server.batch_items(), 0u);
+}
+
+TEST(PollServerBatch, QuiesceMidContinuationFiresAfterInFlightItem) {
+  Rig rig;
+  BoundedQueue<int> data(32);
+  std::vector<std::pair<Nanos, int>> seen;
+  rig.server.add_input(data, 1, [](int&) { return Nanos{10}; },
+                       [&](int&& v) { seen.emplace_back(rig.sim.now(), v); },
+                       CostCategory::kUser, /*batch=*/4);
+  for (int i = 0; i < 4; ++i) data.push(i);
+  rig.server.start();
+  Nanos quiesced_at = -1;
+  // Item 1 is in service (10..20) and items 2, 3 are still owed to the
+  // continuation: quiesce waits for item 1 only, then leaves 2, 3 queued.
+  rig.sim.at(15, [&] {
+    rig.server.quiesce([&] { quiesced_at = rig.sim.now(); });
+  });
+  rig.sim.run_all();
+  EXPECT_EQ(quiesced_at, 20);
+  const std::vector<std::pair<Nanos, int>> want{{10, 0}, {20, 1}};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(data.size(), 2u);
+  EXPECT_FALSE(rig.server.busy());
+  EXPECT_EQ(rig.server.serve_events(), 2u);
+}
+
 // --- coalesced batches: the burst is served as ONE core event -------------
 
 TEST(PollServerCoalesced, SummedCostChargedAsOneEvent) {
@@ -113,6 +167,9 @@ TEST(PollServerCoalesced, SummedCostChargedAsOneEvent) {
   ASSERT_EQ(times.size(), 4u);
   for (const Nanos t : times) EXPECT_EQ(t, 40);
   EXPECT_EQ(rig.server.served(), 4u);
+  EXPECT_EQ(rig.server.serve_events(), 1u);
+  EXPECT_EQ(rig.server.batches(), 1u);
+  EXPECT_EQ(rig.server.batch_items(), 4u);
 }
 
 TEST(PollServerCoalesced, BatchCostFnOverridesPerItemSum) {
@@ -173,6 +230,30 @@ TEST(PollServerCoalesced, RefillDoesNotExtendInFlightBatch) {
   EXPECT_EQ(times[0], 20);
   EXPECT_EQ(times[1], 20);
   EXPECT_EQ(times[2], 30);
+}
+
+TEST(PollServerCoalesced, SinkRefillingItsOwnInputKeepsTheBurstIntact) {
+  // Delivering item 0 pushes 10 into the same input, which starts the next
+  // serve from inside the sink while items 1..3 are still being delivered:
+  // that serve must not overwrite them.
+  Rig rig;
+  BoundedQueue<int> q(32);
+  std::vector<std::pair<Nanos, int>> seen;
+  rig.server.add_input(q, 0, [](int&) { return Nanos{10}; },
+                       [&](int&& v) {
+                         seen.emplace_back(rig.sim.now(), v);
+                         if (v < 10) q.push(v + 10);
+                       },
+                       CostCategory::kUser, /*batch=*/4, /*coalesce=*/true);
+  for (int i = 0; i < 4; ++i) q.push(i);
+  rig.server.start();
+  rig.sim.run_all();
+  const std::vector<std::pair<Nanos, int>> want{
+      {40, 0}, {40, 1}, {40, 2}, {40, 3}, {50, 10}, {80, 11}, {80, 12},
+      {80, 13}};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(rig.server.served(), 8u);
+  EXPECT_EQ(rig.server.batches(), 3u);
 }
 
 TEST(PollServerBatch, StaleNonemptyHintIsRepairedAfterExternalClear) {
